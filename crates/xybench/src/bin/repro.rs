@@ -302,7 +302,6 @@ fn serve_bench() {
     for (clients, idle_conns) in [(1usize, 0usize), (4, 0), (4, idle_pool)] {
         let server = NetServer::start(
             NetConfig::new()
-                .with_http_workers(clients.max(2))
                 .with_max_connections(idle_pool + 64)
                 .with_shed_connections(idle_pool + 64)
                 .with_idle_timeout(std::time::Duration::from_secs(300)),
@@ -447,24 +446,12 @@ fn diff_bench() {
     }
     let bytes_per_round: usize = cases.iter().map(|c| c.bytes).sum();
 
-    // Intra-document diff parallelism: XYBENCH_DIFF_THREADS, defaulting to
-    // the host's parallelism capped at 8 (1 ⇒ strictly serial pipeline).
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let diff_threads = std::env::var("XYBENCH_DIFF_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| cores.min(8))
-        .max(1);
-
     // One differ (options + scratch) reused across the whole run, as a
-    // long-lived ingest worker would hold it: zero-copy (borrowed) payload
-    // capture, plus the scheduler-backed runner when parallelism is on. The
-    // warmup round (untimed) also warms its scratch capacity, so the timed
-    // rounds measure the allocation-free steady state.
+    // long-lived ingest worker would hold it, with zero-copy (borrowed)
+    // payload capture. The warmup round (untimed) also warms its scratch
+    // capacity, so the timed rounds measure the allocation-free steady
+    // state.
     let mut differ = Differ::new().with_capture(xydelta::CaptureMode::Borrowed);
-    if diff_threads > 1 {
-        differ = differ.with_runner(std::sync::Arc::new(xyserve::DiffRunner::new(diff_threads)));
-    }
     for c in &cases {
         let _ = differ.diff(&c.old, &c.new);
     }
@@ -520,10 +507,10 @@ fn diff_bench() {
     let mb_per_sec = (bytes_per_round * rounds) as f64 / 1e6 / wall.as_secs_f64();
     let peak_rss = xybench::peak_rss_bytes().unwrap_or(0);
 
-    println!("| mode | pairs | rounds | threads | docs/sec | MB/s | mean diff | peak RSS |");
-    println!("|---|---:|---:|---:|---:|---:|---:|---:|");
+    println!("| mode | pairs | rounds | docs/sec | MB/s | mean diff | peak RSS |");
+    println!("|---|---:|---:|---:|---:|---:|---:|");
     println!(
-        "| {} | {} | {rounds} | {diff_threads} | {docs_per_sec:.0} | {mb_per_sec:.1} | {:.0} µs | {} |",
+        "| {} | {} | {rounds} | {docs_per_sec:.0} | {mb_per_sec:.1} | {:.0} µs | {} |",
         if fast { "fast" } else { "full" },
         cases.len(),
         phases[5],
@@ -551,7 +538,7 @@ fn diff_bench() {
     };
     let json = format!(
         "{{\n  \"bench\": \"diff\",\n  \"mode\": \"{mode}\",\n  \"pairs\": {pairs},\n  \
-         \"rounds\": {rounds},\n  \"diff_threads\": {diff_threads},\n  \
+         \"rounds\": {rounds},\n  \
          \"bytes_per_round\": {bytes_per_round},\n  \
          \"docs_per_sec\": {docs_per_sec:.2},\n  \"mb_per_sec\": {mb_per_sec:.3},\n  \
          \"phase_micros\": {means},\n  \

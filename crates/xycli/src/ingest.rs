@@ -45,11 +45,6 @@ pub(crate) fn cmd_ingest(args: &[String]) -> Result<ExitCode, String> {
                     .with_steal_batch(flag_value(&mut it, "--steal-batch")?)
                     .map_err(|e| e.to_string())?;
             }
-            "--diff-threads" => {
-                config = config
-                    .with_diff_threads(flag_value(&mut it, "--diff-threads")?)
-                    .map_err(|e| e.to_string())?;
-            }
             "--mode" => {
                 let v = it.next().ok_or("--mode needs a value (buld|unordered|similarity)")?;
                 config =

@@ -37,9 +37,6 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
                     .with_workers(flag_value(&mut it, "--workers")?)
                     .map_err(|e| e.to_string())?;
             }
-            "--http-workers" => {
-                net = net.with_http_workers(flag_value(&mut it, "--http-workers")?);
-            }
             "--queue" => {
                 serve = serve
                     .with_queue_capacity(flag_value(&mut it, "--queue")?)
@@ -53,11 +50,6 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             "--steal-batch" => {
                 serve = serve
                     .with_steal_batch(flag_value(&mut it, "--steal-batch")?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--diff-threads" => {
-                serve = serve
-                    .with_diff_threads(flag_value(&mut it, "--diff-threads")?)
                     .map_err(|e| e.to_string())?;
             }
             "--max-body" => net = net.with_max_body_bytes(flag_value(&mut it, "--max-body")?),
@@ -128,11 +120,10 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
 
     let effective = serve.effective();
     let server = NetServer::start(net, serve).map_err(|e| e.to_string())?;
-    eprintln!(
-        "xydiff serve: listening on http://{} ({} reactor)",
-        server.local_addr(),
-        server.backend(),
-    );
+    // The address line is parsed by supervisors and test harnesses: it
+    // ends with the bare socket address, nothing after it.
+    eprintln!("xydiff serve: listening on http://{}", server.local_addr());
+    eprintln!("xydiff serve: backend {} reactor", server.backend());
     eprintln!("xydiff serve: {effective}");
     eprintln!("xydiff serve: POST /admin/shutdown (or close stdin) to drain");
 

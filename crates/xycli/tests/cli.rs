@@ -2,8 +2,11 @@
 //! exit codes.
 
 use std::fs;
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::str::FromStr;
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_xydiff")
@@ -273,12 +276,12 @@ fn store_workflow_end_to_end() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `ingest --diff-threads --wal-dir` followed by `wal inspect`: the WAL
-/// the parallel zero-copy ingest pipeline writes — every delta crossed
-/// the `into_owned()` materialization boundary before logging — must
-/// parse, pass the static validator, and report a healthy log.
+/// `ingest --wal-dir` followed by `wal inspect`: the WAL the zero-copy
+/// ingest pipeline writes — every delta crossed the `into_owned()`
+/// materialization boundary before logging — must parse, pass the static
+/// validator, and report a healthy log.
 #[test]
-fn ingest_with_diff_threads_writes_inspectable_wal() {
+fn ingest_with_wal_dir_writes_inspectable_wal() {
     let dir = std::env::temp_dir().join(format!("xycli-ingest-wal-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     let corpus = dir.join("corpus");
@@ -297,8 +300,6 @@ fn ingest_with_diff_threads_writes_inspectable_wal() {
     let wal_s = wal.to_str().unwrap();
     let ingest = run(&[
         "ingest",
-        "--diff-threads",
-        "4",
         "--wal-dir",
         wal_s,
         "--quiet",
@@ -322,4 +323,51 @@ fn ingest_with_diff_threads_writes_inspectable_wal() {
         assert!(out.contains(key), "missing {key} chain in report:\n{out}");
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The `serve` startup banner is a contract: supervisors and the crash
+/// harness parse the first line as `listening on http://ADDR` with nothing
+/// after the address, and the readiness backend is reported on its own
+/// line.
+#[test]
+fn serve_banner_announces_a_parseable_address_then_the_backend() {
+    let mut child = Command::new(bin())
+        .args(["serve", "--addr", "127.0.0.1:0", "--quiet"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn xydiff serve");
+    let mut lines = BufReader::new(child.stderr.take().expect("stderr")).lines();
+    let mut next = || lines.next().expect("banner line").expect("read stderr");
+
+    let listening = next();
+    let addr = listening
+        .strip_prefix("xydiff serve: listening on http://")
+        .unwrap_or_else(|| panic!("unexpected first banner line {listening:?}"));
+    let addr = SocketAddr::from_str(addr).expect("the address line ends with a socket address");
+    assert!(addr.ip().is_loopback() && addr.port() != 0, "{addr}");
+
+    let backend = next();
+    assert!(
+        ["xydiff serve: backend epoll reactor", "xydiff serve: backend poll reactor"]
+            .contains(&backend.as_str()),
+        "unexpected backend line {backend:?}"
+    );
+    assert!(next().starts_with("xydiff serve: workers="), "the effective config follows");
+
+    drop(child.stdin.take()); // stdin EOF drains the server
+    assert!(child.wait().expect("serve exits").success());
+}
+
+/// The retired knobs are gone from the CLI, not silently ignored.
+#[test]
+fn retired_flags_are_rejected_as_unknown() {
+    let retired =
+        [("serve", "--http-workers"), ("serve", "--diff-threads"), ("ingest", "--diff-threads")];
+    for (cmd, flag) in retired {
+        let out = run(&[cmd, flag, "2", "."]);
+        assert_eq!(out.status.code(), Some(2), "{cmd} {flag}");
+        assert!(stderr(&out).contains(&format!("unknown flag \"{flag}\"")), "{}", stderr(&out));
+    }
 }

@@ -331,7 +331,7 @@ fn opt_pos(t: &Tree, node: NodeId, name: &str) -> Result<usize, DeltaParseError>
 fn subtree_of(t: &Tree, op_node: NodeId) -> Result<Tree, DeltaParseError> {
     let kids: Vec<NodeId> = t
         .children(op_node)
-        .filter(|&c| t.text(c).is_none_or(|s| !s.trim().is_empty()))
+        .filter(|&c| t.text(c).map_or(true, |s| !s.trim().is_empty()))
         .collect();
     let content = match kids.len() {
         1 => kids[0],

@@ -33,11 +33,9 @@
 use crate::config::DiffOptions;
 use crate::info::SignatureCache;
 use crate::mode::{MatchMode, UnorderedOptions};
-use crate::par::{ParallelRunner, SerialRunner};
 use crate::report::DiffResult;
 use crate::scratch::DiffScratch;
 use crate::similarity::SimilarityOptions;
-use std::sync::Arc;
 use xydelta::CaptureMode;
 use xydelta::XidDocument;
 use xytree::Document;
@@ -56,7 +54,6 @@ pub struct Differ {
     scratch: DiffScratch,
     cache: Option<SignatureCache>,
     capture: CaptureMode,
-    runner: Option<Arc<dyn ParallelRunner>>,
 }
 
 impl Differ {
@@ -127,16 +124,6 @@ impl Differ {
         self
     }
 
-    /// Install a parallel runner hosting the data-parallel stages of phases
-    /// 2 and 3 (builder style). Without one — or with any runner reporting
-    /// one thread — the pipeline stays strictly serial and allocation-free
-    /// in the steady state. The delta is byte-identical either way.
-    #[must_use]
-    pub fn with_runner(mut self, runner: Arc<dyn ParallelRunner>) -> Differ {
-        self.runner = Some(runner);
-        self
-    }
-
     /// The payload capture mode every diff from this differ uses.
     pub fn capture(&self) -> CaptureMode {
         self.capture
@@ -155,11 +142,6 @@ impl Differ {
     /// The similarity-mode tuning this differ carries.
     pub fn similarity_options(&self) -> &SimilarityOptions {
         &self.similarity
-    }
-
-    /// Worker parallelism of the installed runner (1 when none is set).
-    pub fn runner_threads(&self) -> usize {
-        self.runner.as_ref().map_or(1, |r| r.threads())
     }
 
     /// The options every [`Differ::diff`] call uses.
@@ -188,9 +170,9 @@ impl Differ {
     /// calls; results are byte-identical to a fresh-memory diff (pinned by
     /// the golden-equivalence suite).
     pub fn diff(&mut self, old: &XidDocument, new: &Document) -> DiffResult {
-        // Destructure for split borrows: the runner is shared while the
+        // Destructure for split borrows: the options are shared while the
         // scratch (and cache) are handed out mutably.
-        let Differ { opts, unordered, similarity, scratch, cache, capture, runner } = self;
+        let Differ { opts, unordered, similarity, scratch, cache, capture } = self;
         crate::diff_dispatch(
             old,
             new.clone(),
@@ -200,7 +182,6 @@ impl Differ {
             scratch,
             cache.as_mut(),
             *capture,
-            runner_of(runner),
         )
     }
 
@@ -212,7 +193,7 @@ impl Differ {
     /// Ingestion pipelines that parse each incoming version themselves (and
     /// have no further use for the parse) should always take this path.
     pub fn diff_consume(&mut self, old: &XidDocument, new: Document) -> DiffResult {
-        let Differ { opts, unordered, similarity, scratch, cache, capture, runner } = self;
+        let Differ { opts, unordered, similarity, scratch, cache, capture } = self;
         crate::diff_dispatch(
             old,
             new,
@@ -222,7 +203,6 @@ impl Differ {
             scratch,
             cache.as_mut(),
             *capture,
-            runner_of(runner),
         )
     }
 
@@ -239,7 +219,7 @@ impl Differ {
         new: &Document,
         cache: &mut SignatureCache,
     ) -> DiffResult {
-        let Differ { opts, unordered, similarity, scratch, capture, runner, .. } = self;
+        let Differ { opts, unordered, similarity, scratch, capture, .. } = self;
         crate::diff_dispatch(
             old,
             new.clone(),
@@ -249,7 +229,6 @@ impl Differ {
             scratch,
             Some(cache),
             *capture,
-            runner_of(runner),
         )
     }
 
@@ -261,7 +240,7 @@ impl Differ {
         new: Document,
         cache: &mut SignatureCache,
     ) -> DiffResult {
-        let Differ { opts, unordered, similarity, scratch, capture, runner, .. } = self;
+        let Differ { opts, unordered, similarity, scratch, capture, .. } = self;
         crate::diff_dispatch(
             old,
             new,
@@ -271,14 +250,13 @@ impl Differ {
             scratch,
             Some(cache),
             *capture,
-            runner_of(runner),
         )
     }
 
     /// [`Differ::diff`] ignoring any installed cache (always hashes both
     /// sides). Exists for benchmarking and cache-coherence debugging.
     pub fn diff_uncached(&mut self, old: &XidDocument, new: &Document) -> DiffResult {
-        let Differ { opts, unordered, similarity, scratch, capture, runner, .. } = self;
+        let Differ { opts, unordered, similarity, scratch, capture, .. } = self;
         crate::diff_dispatch(
             old,
             new.clone(),
@@ -288,16 +266,7 @@ impl Differ {
             scratch,
             None,
             *capture,
-            runner_of(runner),
         )
-    }
-}
-
-/// The effective runner for a call: the installed one, else serial.
-fn runner_of(runner: &Option<Arc<dyn ParallelRunner>>) -> &dyn ParallelRunner {
-    match runner {
-        Some(r) => r.as_ref(),
-        None => &SerialRunner,
     }
 }
 

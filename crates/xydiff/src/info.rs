@@ -16,8 +16,6 @@
 
 #![doc = "xylint: hot-path"]
 
-use crate::par::ParallelRunner;
-use std::sync::OnceLock;
 use xydelta::{Xid, XidDocument};
 use xytree::hash::{FastHashMap, Fnv64};
 use xytree::{NodeId, NodeKind, Tree};
@@ -101,68 +99,9 @@ pub fn analyze_into(tree: &Tree, out: &mut TreeInfo) {
     out.node_count = node_count;
 }
 
-/// [`analyze_into`] with the subtree hashing fanned out over `runner`.
-///
-/// Shards are the children of the root element — disjoint subtrees, so each
-/// shard's post-order hash depends only on nodes the same worker computed.
-/// Workers publish per-node records through [`OnceLock`] cells; a serial
-/// finishing pass then walks the whole tree in post-order, copying published
-/// records and computing the few stragglers (document node, root element,
-/// top-level comments/PIs) whose children span shards. Hashing is pure, so
-/// the result equals [`analyze_into`] exactly, at every thread count.
-///
-/// With a serial runner (or fewer than two shards) this delegates to
-/// [`analyze_into`] without allocating the staging buffer, preserving the
-/// steady-state no-alloc guarantee of the default path.
-pub fn analyze_into_with(tree: &Tree, out: &mut TreeInfo, runner: &dyn ParallelRunner) {
-    let shards: Vec<NodeId> = root_element_of(tree)
-        .map(|re| tree.children(re).collect())
-        .unwrap_or_default();
-    if runner.threads() <= 1 || shards.len() < 2 {
-        analyze_into(tree, out);
-        return;
-    }
-    // ALLOC-OK: parallel staging is opt-in; the serial bypass above keeps the
-    // default path allocation-free.
-    let slots: Vec<OnceLock<NodeInfo>> = (0..tree.arena_len()).map(|_| OnceLock::new()).collect();
-    runner.run(shards.len(), &|i| {
-        for node in tree.post_order(shards[i]) {
-            let info = compute_node_via(tree, node, |c| {
-                // INVARIANT: post-order within one shard — a node's children
-                // were published by this same worker before the node itself.
-                *slots[c.index()].get().expect("children published before their parent")
-            });
-            let _ = slots[node.index()].set(info);
-        }
-    });
-    out.infos.clear();
-    out.infos.resize(tree.arena_len(), NodeInfo::default());
-    let mut node_count = 0usize;
-    for node in tree.post_order(tree.root()) {
-        node_count += 1;
-        out.infos[node.index()] = match slots[node.index()].get() {
-            Some(info) => *info,
-            None => compute_node(tree, node, &out.infos),
-        };
-    }
-    out.total_weight = out.infos[tree.root().index()].weight;
-    out.node_count = node_count;
-}
-
-/// The root element (first element child of the document node), if any.
-fn root_element_of(tree: &Tree) -> Option<NodeId> {
-    tree.children(tree.root()).find(|&n| matches!(tree.kind(n), NodeKind::Element(_)))
-}
-
 /// Signature/weight/size of one node, assuming its children (post-order
 /// predecessors) are already present in `infos`.
 fn compute_node(tree: &Tree, node: NodeId, infos: &[NodeInfo]) -> NodeInfo {
-    compute_node_via(tree, node, |c| infos[c.index()])
-}
-
-/// [`compute_node`] with child records supplied by a lookup closure, so the
-/// parallel path can read from its [`OnceLock`] staging buffer.
-fn compute_node_via(tree: &Tree, node: NodeId, child: impl Fn(NodeId) -> NodeInfo) -> NodeInfo {
     let mut h;
     let mut weight;
     let mut size = 1u32;
@@ -218,7 +157,7 @@ fn compute_node_via(tree: &Tree, node: NodeId, child: impl Fn(NodeId) -> NodeInf
     // Children were visited first (post-order): fold their signatures in
     // order and add their weights.
     for c in tree.children(node) {
-        let ci = child(c);
+        let ci = infos[c.index()];
         h.update_u64(ci.signature);
         weight += ci.weight;
         size += ci.size;
@@ -420,47 +359,6 @@ mod tests {
         assert_eq!(i.node_count, 5);
         assert_eq!(i.total_weight, i.weight(d.tree.root()));
         assert_eq!(i.get(d.tree.root()).size, 5);
-    }
-
-    #[test]
-    fn parallel_analysis_matches_serial_exactly() {
-        use crate::par::{SerialRunner, StdScopeRunner};
-        let mut xml = String::from("<cat>");
-        for i in 0..20 {
-            xml.push_str(&format!("<p a=\"{i}\"><q>text {i}</q><r/></p>"));
-        }
-        xml.push_str("</cat>");
-        let d = Document::parse(&xml).unwrap();
-        let serial = analyze(&d.tree);
-        for threads in [1usize, 2, 4, 8] {
-            let mut par = TreeInfo::default();
-            let runner = StdScopeRunner::new(threads);
-            analyze_into_with(&d.tree, &mut par, &runner);
-            assert_eq!(par.node_count, serial.node_count);
-            assert_eq!(par.total_weight, serial.total_weight);
-            for n in d.tree.post_order(d.tree.root()) {
-                assert_eq!(par.signature(n), serial.signature(n), "threads={threads}");
-                assert_eq!(par.weight(n), serial.weight(n));
-                assert_eq!(par.get(n).size, serial.get(n).size);
-            }
-        }
-        // Serial runner takes the bypass and still matches.
-        let mut bypass = TreeInfo::default();
-        analyze_into_with(&d.tree, &mut bypass, &SerialRunner);
-        assert_eq!(bypass.signature(d.tree.root()), serial.signature(d.tree.root()));
-    }
-
-    #[test]
-    fn parallel_analysis_handles_shardless_documents() {
-        // No root element children (and no root element at all) must not
-        // panic — both delegate to the serial path.
-        for xml in ["<only/>", "<a>just text</a>"] {
-            let d = Document::parse(xml).unwrap();
-            let serial = analyze(&d.tree);
-            let mut par = TreeInfo::default();
-            analyze_into_with(&d.tree, &mut par, &crate::par::StdScopeRunner::new(4));
-            assert_eq!(par.signature(d.tree.root()), serial.signature(d.tree.root()));
-        }
     }
 
     #[test]

@@ -59,7 +59,6 @@ pub mod differ;
 pub mod info;
 pub mod matching;
 pub mod mode;
-pub mod par;
 pub mod phase1;
 pub mod phase5;
 pub mod propagate;
@@ -73,7 +72,6 @@ pub use differ::Differ;
 pub use info::SignatureCache;
 pub use matching::Matching;
 pub use mode::{ConfigError, MatchMode, ParseMatchModeError, UnorderedOptions};
-pub use par::{ParallelRunner, SerialRunner, StdScopeRunner};
 pub use report::{DiffResult, DiffStats, PhaseTimings};
 pub use scratch::DiffScratch;
 pub use similarity::SimilarityOptions;
@@ -108,15 +106,14 @@ pub fn diff(old: &XidDocument, new: &Document, opts: &DiffOptions) -> DiffResult
         &mut scratch,
         None,
         CaptureMode::Owned,
-        &SerialRunner,
     )
 }
 
 /// Route a diff to the matcher selected by [`DiffOptions::mode`].
 ///
-/// The BULD arm uses the full machinery (scratch, cache, parallel runner);
-/// the unordered and similarity arms build their own matching state and
-/// ignore `scratch`, `cache`, and `runner` (an installed per-document cache
+/// The BULD arm uses the full machinery (scratch and cache); the unordered
+/// and similarity arms build their own matching state and ignore `scratch`
+/// and `cache` (an installed per-document cache
 /// is simply left untouched — stale entries miss safely if the caller later
 /// switches back to BULD). All arms honor `capture` and the phase-5 LIS
 /// settings, so every mode supports the zero-copy warehouse path.
@@ -130,10 +127,9 @@ pub(crate) fn diff_dispatch(
     scratch: &mut DiffScratch,
     cache: Option<&mut SignatureCache>,
     capture: CaptureMode,
-    runner: &dyn par::ParallelRunner,
 ) -> DiffResult {
     match opts.mode {
-        MatchMode::Buld => diff_core(old, new, opts, scratch, cache, capture, runner),
+        MatchMode::Buld => diff_core(old, new, opts, scratch, cache, capture),
         MatchMode::Unordered => unordered::diff_core_unordered(old, new, opts, uopts, capture),
         MatchMode::Similarity => similarity::diff_core_similarity(old, new, opts, sopts, capture),
     }
@@ -146,8 +142,7 @@ pub(crate) fn diff_dispatch(
 /// entry points ([`Differ::diff_consume`] and friends) pass the parse result
 /// straight through, so phase 5 inherits XIDs *into* the caller's document
 /// instead of a clone of it. `capture` selects how insert/delete payloads
-/// are captured (see [`CaptureMode`]); `runner` hosts the data-parallel
-/// stages of phases 2 and 3.
+/// are captured (see [`CaptureMode`]).
 pub(crate) fn diff_core(
     old: &XidDocument,
     new: Document,
@@ -155,7 +150,6 @@ pub(crate) fn diff_core(
     scratch: &mut DiffScratch,
     mut cache: Option<&mut SignatureCache>,
     capture: CaptureMode,
-    runner: &dyn par::ParallelRunner,
 ) -> DiffResult {
     let mut stats = DiffStats::default();
     let mut timings = PhaseTimings::default();
@@ -177,7 +171,7 @@ pub(crate) fn diff_core(
         Some(c) => info::analyze_xid_cached(old, c, old_info),
         None => info::analyze_into(old_tree, old_info),
     }
-    info::analyze_into_with(new_tree, new_info, runner);
+    info::analyze_into(new_tree, new_info);
     timings.phase2 = t.elapsed();
     let (old_info, new_info) = (&*old_info, &*new_info);
 
@@ -193,9 +187,7 @@ pub(crate) fn diff_core(
 
     // Phase 3: BULD matching loop.
     let t = Instant::now();
-    buld::run_with(
-        old_tree, new_tree, old_info, new_info, matching, opts, &mut stats, buld, runner,
-    );
+    buld::run_with(old_tree, new_tree, old_info, new_info, matching, opts, &mut stats, buld);
     timings.phase3 = t.elapsed();
 
     // Phase 4: structural propagation to fixpoint (bounded passes).

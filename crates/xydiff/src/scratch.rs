@@ -20,8 +20,7 @@ use crate::info::TreeInfo;
 use crate::matching::Matching;
 
 /// Reusable working memory for the diff pipeline, owned by a
-/// [`crate::Differ`] (or passed explicitly through the deprecated
-/// multi-argument entry points).
+/// [`crate::Differ`].
 ///
 /// Holds the phase-2 analyses, the phase-1/3/4 matching vectors, and the
 /// phase-3 candidate index + priority queue. Every component is cleared and

@@ -116,24 +116,6 @@ impl SimilarityOptions {
     }
 }
 
-/// Diff with the similarity matcher instead of BULD.
-#[deprecated(
-    since = "0.1.0",
-    note = "select the matcher through the unified surface: \
-            `Differ::new().with_mode(MatchMode::Similarity)` (or set \
-            `DiffOptions::mode` and call `diff`)"
-)]
-pub fn diff_similarity(
-    old: &XidDocument,
-    new: &Document,
-    opts: &SimilarityOptions,
-) -> DiffResult {
-    // The historical free function never windowed the phase-5 LIS; keep its
-    // exact output by selecting the exact algorithm here.
-    let exact = DiffOptions { exact_lis: true, ..Default::default() };
-    diff_core_similarity(old, new.clone(), &exact, opts, CaptureMode::Owned)
-}
-
 /// The similarity pipeline core: leaf/internal matching, shared phase-5
 /// delta construction. Owns the new document (zero-copy like
 /// [`crate::diff_core`]); honors `capture` and the phase-5 LIS settings
@@ -258,7 +240,7 @@ fn match_leaves(
             }
             let NodeKind::Text(old_content) = old.kind(c) else { continue };
             let s = dice(old_content, content);
-            if s >= opts.leaf_threshold && best.is_none_or(|(bs, _)| s > bs) {
+            if s >= opts.leaf_threshold && best.map_or(true, |(bs, _)| s > bs) {
                 best = Some((s, c));
                 if s == 1.0 {
                     break;
@@ -400,18 +382,20 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_free_function_matches_mode_dispatch() {
+    fn exact_lis_matches_the_windowed_lis_on_small_documents() {
+        // The exact phase-5 LIS and the default window agree whenever the
+        // sibling lists fit in the window; both must patch exactly.
         let old = XidDocument::parse_initial("<a><p>one two three</p><q>x</q></a>").unwrap();
         let new = Document::parse("<a><q>x</q><p>one two four</p></a>").unwrap();
-        let free = diff_similarity(&old, &new, &SimilarityOptions::default());
-        let opts =
-            DiffOptions { mode: MatchMode::Similarity, exact_lis: true, ..Default::default() };
-        let routed = crate::diff(&old, &new, &opts);
-        assert_eq!(
-            xydelta::xml_io::delta_to_xml(&free.delta),
-            xydelta::xml_io::delta_to_xml(&routed.delta)
-        );
+        let delta_xml = |exact_lis: bool| {
+            let opts = DiffOptions { mode: MatchMode::Similarity, exact_lis, ..Default::default() };
+            let r = crate::diff(&old, &new, &opts);
+            let mut replay = old.clone();
+            r.delta.apply_to(&mut replay).expect("similarity delta applies");
+            assert_eq!(replay.doc.to_xml(), new.to_xml(), "exact_lis={exact_lis}");
+            xydelta::xml_io::delta_to_xml(&r.delta)
+        };
+        assert_eq!(delta_xml(true), delta_xml(false));
     }
 
     #[test]

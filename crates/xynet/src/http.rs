@@ -1,13 +1,12 @@
-//! A minimal, dependency-free HTTP/1.1 request reader and response writer.
+//! A minimal, dependency-free HTTP/1.1 head parser and response writer.
 //!
 //! Only what the ingest front needs: request line + headers +
-//! `Content-Length` bodies, keep-alive and pipelining, strict size limits
-//! that map to typed errors (`400`/`411`/`413`/`431`/`501`). Reads are
-//! incremental — a request arriving one byte at a time parses identically to
-//! one arriving in a single packet — and leftover bytes after a body are
-//! retained for the next pipelined request on the connection.
+//! `Content-Length` bodies, keep-alive, strict size limits that map to typed
+//! errors (`400`/`411`/`413`/`431`/`501`). The incremental request assembly
+//! (split packets, pipelining) lives in the reactor's per-connection state
+//! machine, which calls into the parsing functions here.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Size limits enforced while reading a request.
 #[derive(Debug, Clone, Copy)]
@@ -21,8 +20,6 @@ pub struct Limits {
 /// Why a request could not be read, each mapping to one response status.
 #[derive(Debug)]
 pub enum HttpError {
-    /// Socket-level failure (including read timeouts); no response possible.
-    Io(io::Error),
     /// Syntactically invalid request → `400`.
     BadRequest(String),
     /// Body-bearing request without a `Content-Length` → `411`.
@@ -36,11 +33,9 @@ pub enum HttpError {
 }
 
 impl HttpError {
-    /// The response status this error maps to (0 for I/O errors, where no
-    /// response can be written).
+    /// The response status this error maps to.
     pub fn status(&self) -> u16 {
         match self {
-            HttpError::Io(_) => 0,
             HttpError::BadRequest(_) => 400,
             HttpError::LengthRequired => 411,
             HttpError::PayloadTooLarge(_) => 413,
@@ -53,7 +48,6 @@ impl HttpError {
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Io(e) => write!(f, "i/o error: {e}"),
             HttpError::BadRequest(why) => write!(f, "malformed request: {why}"),
             HttpError::LengthRequired => write!(f, "Content-Length is required"),
             HttpError::PayloadTooLarge(n) => write!(f, "request body of {n} bytes is too large"),
@@ -97,86 +91,6 @@ impl Head {
     /// The request path with any query string stripped.
     pub fn route_path(&self) -> &str {
         self.path.split('?').next().unwrap_or("")
-    }
-}
-
-/// Buffered request reader over one connection. Owns the unconsumed tail of
-/// the stream so pipelined requests and keep-alive sequencing work.
-pub struct Conn<R: Read> {
-    inner: R,
-    /// Bytes read from the socket but not yet consumed by a request.
-    buf: Vec<u8>,
-}
-
-const READ_CHUNK: usize = 4096;
-
-impl<R: Read> Conn<R> {
-    /// Wrap a readable stream.
-    pub fn new(inner: R) -> Conn<R> {
-        Conn { inner, buf: Vec::new() }
-    }
-
-    /// The wrapped stream, for writing responses between requests (requests
-    /// and responses on one connection are strictly sequential).
-    pub fn inner_mut(&mut self) -> &mut R {
-        &mut self.inner
-    }
-
-    /// Read and parse one request head. `Ok(None)` means the peer closed
-    /// the connection cleanly between requests; bytes followed by EOF mid-
-    /// head are a [`HttpError::BadRequest`].
-    pub fn read_head(&mut self, limits: &Limits) -> Result<Option<Head>, HttpError> {
-        let end = loop {
-            if let Some(end) = find_head_end(&self.buf) {
-                break end;
-            }
-            if self.buf.len() > limits.max_head_bytes {
-                return Err(HttpError::HeadersTooLarge);
-            }
-            if self.fill()? == 0 {
-                if self.buf.is_empty() {
-                    return Ok(None);
-                }
-                return Err(HttpError::BadRequest("connection closed mid-head".to_string()));
-            }
-        };
-        if end > limits.max_head_bytes {
-            return Err(HttpError::HeadersTooLarge);
-        }
-        let head_bytes: Vec<u8> = self.buf.drain(..end).collect();
-        parse_head(&head_bytes).map(Some)
-    }
-
-    /// Read exactly `len` body bytes (buffered tail first, then the socket).
-    pub fn read_body(&mut self, len: usize) -> Result<Vec<u8>, HttpError> {
-        while self.buf.len() < len {
-            if self.fill()? == 0 {
-                return Err(HttpError::BadRequest("connection closed mid-body".to_string()));
-            }
-        }
-        Ok(self.buf.drain(..len).collect())
-    }
-
-    /// Convenience for tests and simple callers: one full request, body
-    /// checked against `limits` and `411` enforced for `POST`/`PUT`.
-    pub fn next_request(
-        &mut self,
-        limits: &Limits,
-    ) -> Result<Option<(Head, Vec<u8>)>, HttpError> {
-        let Some(head) = self.read_head(limits)? else {
-            return Ok(None);
-        };
-        let len = body_length(&head, limits)?;
-        let body = self.read_body(len)?;
-        Ok(Some((head, body)))
-    }
-
-    /// One `read` into the buffer; returns the byte count (0 = EOF).
-    fn fill(&mut self) -> Result<usize, HttpError> {
-        let mut chunk = [0u8; READ_CHUNK];
-        let n = self.inner.read(&mut chunk).map_err(HttpError::Io)?;
-        self.buf.extend_from_slice(&chunk[..n]);
-        Ok(n)
     }
 }
 
@@ -335,130 +249,6 @@ pub fn write_continue(w: &mut impl Write) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Yields the input `step` bytes per read, simulating split packets.
-    struct Trickle {
-        data: Vec<u8>,
-        pos: usize,
-        step: usize,
-    }
-
-    impl Read for Trickle {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            let n = self.step.min(self.data.len() - self.pos).min(buf.len());
-            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
-        }
-    }
-
-    fn conn(data: &str, step: usize) -> Conn<Trickle> {
-        Conn::new(Trickle { data: data.as_bytes().to_vec(), pos: 0, step })
-    }
-
-    const LIMITS: Limits = Limits { max_head_bytes: 1024, max_body_bytes: 64 };
-
-    #[test]
-    fn request_parses_identically_at_every_split_granularity() {
-        let raw = "POST /ingest/doc-1 HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\n<d>hello</d>";
-        // 11 bytes of declared body leaves one pipelined byte unconsumed.
-        for step in 1..=raw.len() {
-            let mut c = conn(raw, step);
-            let (head, body) = c.next_request(&LIMITS).unwrap().unwrap();
-            assert_eq!(head.method, "POST", "step {step}");
-            assert_eq!(head.path, "/ingest/doc-1");
-            assert_eq!(head.header("host"), Some("x"));
-            assert!(head.keep_alive);
-            assert_eq!(body, b"<d>hello</d>"[..11].to_vec());
-        }
-    }
-
-    #[test]
-    fn pipelined_requests_sequence_on_one_connection() {
-        let raw = "GET /healthz HTTP/1.1\r\n\r\nPOST /ingest/k HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcGET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n";
-        let mut c = conn(raw, 7);
-        let (h1, b1) = c.next_request(&LIMITS).unwrap().unwrap();
-        assert_eq!((h1.method.as_str(), h1.path.as_str()), ("GET", "/healthz"));
-        assert!(b1.is_empty());
-        let (h2, b2) = c.next_request(&LIMITS).unwrap().unwrap();
-        assert_eq!(h2.path, "/ingest/k");
-        assert_eq!(b2, b"abc");
-        let (h3, _) = c.next_request(&LIMITS).unwrap().unwrap();
-        assert_eq!(h3.path, "/metrics");
-        assert!(!h3.keep_alive, "Connection: close must end keep-alive");
-        assert!(c.next_request(&LIMITS).unwrap().is_none(), "clean EOF after the last request");
-    }
-
-    #[test]
-    fn malformed_heads_are_bad_requests() {
-        for raw in [
-            "GARBAGE\r\n\r\n",
-            "GET /x HTTP/1.1 extra\r\n\r\n",
-            "get /x HTTP/1.1\r\n\r\n",
-            "GET x HTTP/1.1\r\n\r\n",
-            "GET /x HTTP/1.1\r\nNoColonHere\r\n\r\n",
-            "GET /x HTTP/1.1\r\nBad Name: v\r\n\r\n",
-            "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
-            "POST /x HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\n",
-        ] {
-            let err = conn(raw, 5).next_request(&LIMITS).unwrap_err();
-            assert_eq!(err.status(), 400, "{raw:?} -> {err}");
-        }
-    }
-
-    #[test]
-    fn truncation_mid_head_and_mid_body_are_bad_requests() {
-        let err = conn("GET /x HTTP/1.1\r\nHost:", 3).next_request(&LIMITS).unwrap_err();
-        assert_eq!(err.status(), 400);
-        let err =
-            conn("POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", 3).next_request(&LIMITS);
-        assert_eq!(err.unwrap_err().status(), 400);
-    }
-
-    #[test]
-    fn size_limits_map_to_413_and_431() {
-        let body = "POST /x HTTP/1.1\r\nContent-Length: 65\r\n\r\n";
-        assert_eq!(conn(body, 9).next_request(&LIMITS).unwrap_err().status(), 413);
-
-        let huge_head = format!("GET /x HTTP/1.1\r\nCookie: {}\r\n\r\n", "c".repeat(2000));
-        assert_eq!(conn(&huge_head, 64).next_request(&LIMITS).unwrap_err().status(), 431);
-    }
-
-    #[test]
-    fn post_without_length_requires_length() {
-        let err = conn("POST /x HTTP/1.1\r\n\r\n", 5).next_request(&LIMITS).unwrap_err();
-        assert_eq!(err.status(), 411);
-        // ...but GET without a length is a normal zero-body request.
-        assert!(conn("GET /x HTTP/1.1\r\n\r\n", 5).next_request(&LIMITS).unwrap().is_some());
-    }
-
-    #[test]
-    fn keep_alive_defaults_follow_the_http_version() {
-        let (h, _) = conn("GET / HTTP/1.1\r\n\r\n", 99).next_request(&LIMITS).unwrap().unwrap();
-        assert!(h.keep_alive);
-        let (h, _) = conn("GET / HTTP/1.0\r\n\r\n", 99).next_request(&LIMITS).unwrap().unwrap();
-        assert!(!h.keep_alive);
-        let raw = "GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n";
-        let (h, _) = conn(raw, 99).next_request(&LIMITS).unwrap().unwrap();
-        assert!(h.keep_alive, "HTTP/1.0 opts in via the Connection header");
-    }
-
-    #[test]
-    fn unsupported_features_are_501() {
-        let raw = "GET / HTTP/2.0\r\n\r\n";
-        assert_eq!(conn(raw, 99).next_request(&LIMITS).unwrap_err().status(), 501);
-        let raw = "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
-        assert_eq!(conn(raw, 99).next_request(&LIMITS).unwrap_err().status(), 501);
-    }
-
-    #[test]
-    fn expect_continue_and_query_strings_are_recognised() {
-        let raw = "POST /ingest/k?debug=1 HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\nhi";
-        let (h, body) = conn(raw, 4).next_request(&LIMITS).unwrap().unwrap();
-        assert!(h.expects_continue);
-        assert_eq!(h.route_path(), "/ingest/k");
-        assert_eq!(body, b"hi");
-    }
 
     #[test]
     fn responses_have_the_expected_shape() {

@@ -1,13 +1,11 @@
 //! The per-connection HTTP state machine driven by the reactor.
 //!
-//! [`crate::http::Conn`] *pulls* bytes from a blocking `Read`; the reactor
-//! cannot block, so this is the same parser inverted into a *push* machine:
-//! the event loop [`ConnMachine::feed`]s whatever bytes the socket had and
-//! asks [`ConnMachine::next`] what to do. The parsing itself is shared with
-//! the pull path (`find_head_end` / `parse_head` / `body_length`), so a
-//! request arriving one byte at a time parses identically under both
-//! fronts — the differential test in `tests/reactor_differential.rs` holds
-//! the two to byte-identical responses.
+//! The reactor cannot block on a socket, so requests are assembled by a
+//! *push* machine: the event loop [`ConnMachine::feed`]s whatever bytes the
+//! socket had and asks [`ConnMachine::next`] what to do. The parsing itself
+//! is [`crate::http`]'s (`find_head_end` / `parse_head` / `body_length`), and
+//! a request arriving one byte at a time parses identically to one arriving
+//! in a single packet.
 
 use crate::http::{body_length, find_head_end, parse_head, Head, HttpError, Limits};
 
@@ -135,57 +133,55 @@ mod tests {
 
     const LIMITS: Limits = Limits { max_head_bytes: 1024, max_body_bytes: 64 };
 
-    /// Feed `raw` in `step`-byte chunks, collecting completed requests.
-    fn drive(raw: &[u8], step: usize) -> (Vec<(Head, Vec<u8>)>, Option<u16>, bool) {
-        let mut m = ConnMachine::new(LIMITS);
-        let mut requests = Vec::new();
-        let mut fail = None;
-        let mut closed = false;
-        for chunk in raw.chunks(step.max(1)) {
-            m.feed(chunk);
-            loop {
-                match m.next() {
-                    Step::NeedRead => break,
-                    Step::Continue100 => continue,
-                    Step::Request(h, b) => requests.push((h, b)),
-                    Step::Close => {
-                        closed = true;
-                        break;
-                    }
-                    Step::Fail(e) => {
-                        fail = Some(e.status());
-                        break;
-                    }
+    /// What [`drive`] observed on one connection.
+    struct Driven {
+        requests: Vec<(Head, Vec<u8>)>,
+        /// Status of the `Fail` step, if the machine failed.
+        fail: Option<u16>,
+        /// The machine reported a clean `Close`.
+        closed: bool,
+    }
+
+    /// Take every step the buffered bytes allow; false once the machine
+    /// has finished the connection.
+    fn pump(m: &mut ConnMachine, out: &mut Driven) -> bool {
+        loop {
+            match m.next() {
+                Step::NeedRead => return true,
+                Step::Continue100 => {}
+                Step::Request(h, b) => out.requests.push((h, b)),
+                Step::Close => {
+                    out.closed = true;
+                    return false;
+                }
+                Step::Fail(e) => {
+                    out.fail = Some(e.status());
+                    return false;
                 }
             }
-            if fail.is_some() || closed {
-                return (requests, fail, closed);
+        }
+    }
+
+    /// Feed `raw` in `step`-byte chunks, then EOF, collecting what happens.
+    fn drive(raw: &[u8], step: usize) -> Driven {
+        let mut m = ConnMachine::new(LIMITS);
+        let mut out = Driven { requests: Vec::new(), fail: None, closed: false };
+        for chunk in raw.chunks(step.max(1)) {
+            m.feed(chunk);
+            if !pump(&mut m, &mut out) {
+                return out;
             }
         }
         m.note_eof();
-        loop {
-            match m.next() {
-                Step::NeedRead => break,
-                Step::Continue100 => continue,
-                Step::Request(h, b) => requests.push((h, b)),
-                Step::Close => {
-                    closed = true;
-                    break;
-                }
-                Step::Fail(e) => {
-                    fail = Some(e.status());
-                    break;
-                }
-            }
-        }
-        (requests, fail, closed)
+        pump(&mut m, &mut out);
+        out
     }
 
     #[test]
     fn parses_identically_at_every_split_granularity() {
         let raw = b"POST /ingest/doc-1 HTTP/1.1\r\nHost: x\r\nContent-Length: 12\r\n\r\n<d>hello</d>";
         for step in 1..=raw.len() {
-            let (reqs, fail, _) = drive(raw, step);
+            let Driven { requests: reqs, fail, .. } = drive(raw, step);
             assert_eq!(fail, None, "step {step}");
             assert_eq!(reqs.len(), 1, "step {step}");
             assert_eq!(reqs[0].0.method, "POST");
@@ -198,7 +194,7 @@ mod tests {
     fn pipelined_requests_come_out_in_order() {
         let raw = b"GET /healthz HTTP/1.1\r\n\r\nPOST /ingest/k HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcGET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n";
         for step in [1, 3, 7, raw.len()] {
-            let (reqs, fail, closed) = drive(raw, step);
+            let Driven { requests: reqs, fail, closed } = drive(raw, step);
             assert_eq!(fail, None);
             assert!(closed, "clean EOF after the last request");
             let paths: Vec<&str> = reqs.iter().map(|(h, _)| h.path.as_str()).collect();
@@ -208,32 +204,53 @@ mod tests {
     }
 
     #[test]
-    fn failures_match_the_pull_parser_statuses() {
+    fn failures_map_to_their_statuses() {
         for (raw, want) in [
-            (&b"GARBAGE\r\n\r\n"[..], 400),
-            (&b"POST /x HTTP/1.1\r\n\r\n"[..], 411),
-            (&b"POST /x HTTP/1.1\r\nContent-Length: 65\r\n\r\n"[..], 413),
-            (&b"GET /x HTTP/2.0\r\n\r\n"[..], 501),
+            ("GARBAGE\r\n\r\n", 400),
+            ("GET /x HTTP/1.1 extra\r\n\r\n", 400),
+            ("get /x HTTP/1.1\r\n\r\n", 400),
+            ("GET x HTTP/1.1\r\n\r\n", 400),
+            ("GET /x HTTP/1.1\r\nNoColonHere\r\n\r\n", 400),
+            ("GET /x HTTP/1.1\r\nBad Name: v\r\n\r\n", 400),
+            ("POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n", 400),
+            ("POST /x HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\n", 400),
+            ("POST /x HTTP/1.1\r\n\r\n", 411),
+            ("POST /x HTTP/1.1\r\nContent-Length: 65\r\n\r\n", 413),
+            ("GET /x HTTP/2.0\r\n\r\n", 501),
+            ("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 501),
         ] {
-            let (_, fail, _) = drive(raw, 5);
-            assert_eq!(fail, Some(want), "{:?}", String::from_utf8_lossy(raw));
+            assert_eq!(drive(raw.as_bytes(), 5).fail, Some(want), "{raw:?}");
         }
         let huge = format!("GET /x HTTP/1.1\r\nCookie: {}\r\n\r\n", "c".repeat(2000));
-        let (_, fail, _) = drive(huge.as_bytes(), 64);
-        assert_eq!(fail, Some(431));
+        assert_eq!(drive(huge.as_bytes(), 64).fail, Some(431));
+        // A GET without a length is a normal zero-body request.
+        let ok = drive(b"GET /x HTTP/1.1\r\n\r\n", 5);
+        assert_eq!((ok.fail, ok.requests.len()), (None, 1));
     }
 
     #[test]
     fn eof_mid_request_is_a_bad_request() {
-        let (_, fail, _) = drive(b"GET /x HTTP/1.1\r\nHost:", 3);
-        assert_eq!(fail, Some(400));
-        let (_, fail, _) = drive(b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", 4);
-        assert_eq!(fail, Some(400));
+        assert_eq!(drive(b"GET /x HTTP/1.1\r\nHost:", 3).fail, Some(400));
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+        assert_eq!(drive(raw, 4).fail, Some(400));
+    }
+
+    #[test]
+    fn keep_alive_follows_the_http_version() {
+        for (raw, keep_alive) in [
+            ("GET / HTTP/1.1\r\n\r\n", true),
+            ("GET / HTTP/1.0\r\n\r\n", false),
+            ("GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n", true),
+            ("GET / HTTP/1.1\r\nConnection: close\r\n\r\n", false),
+        ] {
+            assert_eq!(drive(raw.as_bytes(), 99).requests[0].0.keep_alive, keep_alive, "{raw:?}");
+        }
     }
 
     #[test]
     fn expect_continue_surfaces_the_interim_step() {
-        let raw = b"POST /i/k HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n";
+        let raw =
+            b"POST /i/k?debug=1 HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n";
         let mut m = ConnMachine::new(LIMITS);
         m.feed(raw);
         assert!(matches!(m.next(), Step::Continue100));
@@ -242,6 +259,7 @@ mod tests {
         match m.next() {
             Step::Request(h, b) => {
                 assert!(h.expects_continue);
+                assert_eq!(h.route_path(), "/i/k");
                 assert_eq!(b, b"hi");
             }
             _ => panic!("expected a completed request"),

@@ -226,8 +226,7 @@ impl<D: Driver> Reactor<D> {
                 accept_ready = true;
             }
         }
-        for i in 0..events.len() {
-            let ev = events[i];
+        for &ev in &events {
             if ev.token != LISTENER_TOKEN {
                 self.handle_conn_event(ev);
             }

@@ -1,13 +1,11 @@
-//! Route dispatch shared by the reactor and the legacy blocking front.
+//! Route dispatch for the reactor.
 //!
-//! Both fronts parse requests with the same code and route them here, so
-//! their responses are byte-identical — the property the differential test
-//! replays the PR 4 protocol corpus to enforce. The one asymmetry is how
-//! `POST /ingest/{key}` waits for its outcome: the blocking front parks on
-//! a [`xyserve::Ticket`], the reactor registers a completion callback and
-//! keeps multiplexing. [`route`] therefore returns [`Routed`]: either a
-//! finished [`Response`] or an ingest submission for the caller to drive
-//! its own way.
+//! Every route but one is answered inline. `POST /ingest/{key}` has to wait
+//! for the pipeline's outcome, and the reactor cannot block on it: it
+//! registers a completion callback and keeps multiplexing. [`route`]
+//! therefore returns [`Routed`]: either a finished [`Response`] or an
+//! ingest submission for the reactor to drive. The responses are pinned
+//! byte-for-byte by the recorded transcripts in `tests/transcripts/`.
 
 use std::sync::atomic::Ordering;
 

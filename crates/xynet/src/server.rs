@@ -68,15 +68,13 @@ pub struct NetShutdownReport {
     pub requests: u64,
 }
 
-/// State shared by the reactor, the control handles, and (for one more
-/// release) the legacy blocking front.
+/// State shared by the reactor and the control handles.
 pub(crate) struct Shared {
     pub(crate) ingest: IngestServer,
     pub(crate) http: HttpMetrics,
     pub(crate) config: NetConfig,
     pub(crate) local_addr: SocketAddr,
-    /// Driver backend name, for banners: `"epoll"`, `"poll"`, `"sim"`,
-    /// `"blocking"`.
+    /// Driver backend name, for banners: `"epoll"`, `"poll"`, `"sim"`.
     pub(crate) backend: &'static str,
     /// Set once a drain begins; new snapshots are refused from then on.
     pub(crate) draining: AtomicBool,
@@ -84,30 +82,11 @@ pub(crate) struct Shared {
     pub(crate) shutdown_flag: Mutex<bool>,
     pub(crate) shutdown_cv: Condvar,
     /// Wakes the reactor's poll when a drain is requested from another
-    /// thread (`None` for the legacy front, which has no poller).
+    /// thread (`None` once the reactor has exited).
     pub(crate) waker: Mutex<Option<Waker>>,
 }
 
 impl Shared {
-    pub(crate) fn new(
-        ingest: IngestServer,
-        config: NetConfig,
-        local_addr: SocketAddr,
-        backend: &'static str,
-    ) -> Shared {
-        Shared {
-            ingest,
-            http: HttpMetrics::new(),
-            config,
-            local_addr,
-            backend,
-            draining: AtomicBool::new(false),
-            shutdown_flag: Mutex::new(false),
-            shutdown_cv: Condvar::new(),
-            waker: Mutex::new(None),
-        }
-    }
-
     /// Idempotently begin a loss-free drain: refuse new snapshots, wake the
     /// reactor's poll, and signal anyone blocked in
     /// `wait_for_shutdown_request`.

@@ -265,12 +265,12 @@ impl SimDriver {
             out.push(Event { token: LISTENER_TOKEN, readable: true, writable: false });
         }
         let mut delivered: Vec<Token> = Vec::new();
-        for (&token, &(id, interest)) in state.armed.iter() {
+        for (&token, &(id, interest)) in &state.armed {
             let Some(conn) = state.conns.get(&id) else { continue };
             let readable = interest.readable && !conn.inbound.is_empty();
             let writable = interest.writable
                 && !conn.reset
-                && conn.recv_window.is_none_or(|cap| conn.outbound.len() < cap);
+                && conn.recv_window.map_or(true, |cap| conn.outbound.len() < cap);
             // A reset also trips writers waiting for window.
             let writable = writable || (interest.writable && conn.reset);
             if readable || writable {

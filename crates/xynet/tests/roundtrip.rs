@@ -72,7 +72,7 @@ fn read_one_response(stream: &mut TcpStream) -> String {
 }
 
 fn start(net: NetConfig, serve: ServeConfig) -> NetServer {
-    NetServer::start(net.with_io_timeout(Duration::from_secs(3)), serve).expect("start")
+    NetServer::start(net, serve).expect("start")
 }
 
 #[test]
@@ -193,7 +193,7 @@ fn full_queue_sheds_with_503_and_retry_after() {
     HOLD.store(true, Ordering::SeqCst);
 
     let server = Arc::new(start(
-        NetConfig::new().with_http_workers(4).with_retry_after_secs(7),
+        NetConfig::new().with_retry_after_secs(7),
         ServeConfig::new()
             .with_workers(1)
             .unwrap()

@@ -1,31 +1,37 @@
-//! Differential protocol test: the event-driven reactor and the legacy
-//! blocking front must be **byte-identical** on the wire.
+//! Golden-transcript protocol test: the reactor's raw responses to a fixed
+//! socket-level corpus must match the transcripts checked in under
+//! `tests/transcripts/` **byte for byte**.
 //!
-//! The corpus below is the socket-level request set the blocking front was
-//! originally tested against (well-formed roundtrips, every typed error,
-//! pipelined keep-alive), and each script runs twice — once against a
-//! [`LegacyServer`], once against a [`NetServer`] — on fresh pipelines with
-//! the same configuration. Any divergence in the raw response bytes fails
-//! with the script name. `/metrics` is exercised for status only: its body
-//! contains live histograms.
+//! The transcripts were recorded from the blocking thread-per-connection
+//! front that preceded the reactor, replaying the corpus it was originally
+//! tested against (well-formed roundtrips, every typed error, pipelined
+//! keep-alive). Each script runs on a fresh connection against one server
+//! per corpus, so sequence numbers, versions and diff outcomes are fixed.
+//! `/metrics` bodies hold live histograms, so that route is pinned by its
+//! family set instead: the `# TYPE` lines in `metrics_families.txt` are a
+//! contract with every scraper, and renaming or dropping a family fails
+//! here.
+//!
+//! A deliberate wire-format change re-records the files with
+//! `UPDATE_GOLDENS=1 cargo test -p xynet --test transcripts`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::PathBuf;
 use std::time::Duration;
 
-use xynet::legacy::LegacyServer;
 use xynet::{NetConfig, NetServer};
 use xyserve::ServeConfig;
 
-/// One differential script: named raw writes on a single connection, sent
-/// in order, then read to EOF.
+/// One script: named raw writes on a single connection, sent in order, then
+/// read to EOF. The transcript is `tests/transcripts/{name}.http`.
 struct Script {
     name: &'static str,
     writes: &'static [&'static str],
 }
 
-/// Scripts shared by both fronts. Bodies and keys are fixed so sequence
-/// numbers, versions, and diff outcomes match run-to-run.
+/// Scripts run with the default limits. Bodies and keys are fixed so
+/// sequence numbers, versions, and diff outcomes match run-to-run.
 const CORPUS: &[Script] = &[
     Script {
         name: "healthz",
@@ -61,6 +67,9 @@ const CORPUS: &[Script] = &[
         ],
     },
     Script {
+        // The first body is one byte shorter than its Content-Length, so
+        // the length swallows the next request's first byte: a dead letter,
+        // then a desynchronized `OST` request answered 405.
         name: "ingest-then-fetch-pipelined",
         writes: &[
             "POST /ingest/diff-doc HTTP/1.1\r\nHost: t\r\nContent-Length: 26\r\n\r\n<c><p>alpha</p></c>\n\n\n\n\n\n",
@@ -69,6 +78,16 @@ const CORPUS: &[Script] = &[
             "GET /doc/diff-doc/0 HTTP/1.1\r\nHost: t\r\n\r\n",
             "GET /doc/diff-doc/9 HTTP/1.1\r\nHost: t\r\n\r\n",
             "GET /doc/ghost HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        ],
+    },
+    Script {
+        name: "ingest-then-fetch",
+        writes: &[
+            "POST /ingest/fetch-doc HTTP/1.1\r\nHost: t\r\nContent-Length: 19\r\n\r\n<c><p>alpha</p></c>",
+            "POST /ingest/fetch-doc HTTP/1.1\r\nHost: t\r\nContent-Length: 30\r\n\r\n<c><p>alpha</p><p>beta</p></c>",
+            "GET /doc/fetch-doc HTTP/1.1\r\nHost: t\r\n\r\n",
+            "GET /doc/fetch-doc/0 HTTP/1.1\r\nHost: t\r\n\r\n",
+            "GET /doc/fetch-doc/9 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
         ],
     },
     Script {
@@ -133,70 +152,65 @@ fn serve_config() -> ServeConfig {
     ServeConfig::new().with_workers(2).expect("valid worker count")
 }
 
-/// Drive `corpus` through both fronts and demand byte equality per script.
-fn run_differential(corpus: &[Script], net: impl Fn() -> NetConfig) {
-    let legacy = LegacyServer::start(net(), serve_config()).expect("legacy start");
-    let reactor = NetServer::start(net(), serve_config()).expect("reactor start");
+fn transcript_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/transcripts")
+}
 
-    for script in corpus {
-        let old = run_script(legacy.local_addr(), script);
-        let new = run_script(reactor.local_addr(), script);
-        assert_eq!(
-            String::from_utf8_lossy(&old),
-            String::from_utf8_lossy(&new),
-            "script {:?} diverged between the blocking front and the reactor",
-            script.name,
-        );
+/// Compare `actual` with the checked-in file `name`, or rewrite the file
+/// when `UPDATE_GOLDENS` is set.
+fn check_golden(name: &str, actual: &[u8]) {
+    let path = transcript_dir().join(name);
+    if std::env::var_os("UPDATE_GOLDENS").is_some() {
+        std::fs::write(&path, actual).expect("write transcript");
+        return;
     }
-
-    let old = legacy.shutdown();
-    let new = reactor.shutdown();
-    assert!(old.ingest.is_balanced(), "{old:?}");
-    assert!(new.ingest.is_balanced(), "{new:?}");
-    assert_eq!(old.ingest.succeeded, new.ingest.succeeded, "fronts disagree on successes");
+    let expected = std::fs::read(&path)
+        .unwrap_or_else(|e| panic!("missing transcript {name} ({e}); run with UPDATE_GOLDENS=1"));
     assert_eq!(
-        old.ingest.dead_lettered, new.ingest.dead_lettered,
-        "fronts disagree on dead letters"
+        String::from_utf8_lossy(&expected),
+        String::from_utf8_lossy(actual),
+        "response to {name} diverged from the recorded transcript",
     );
 }
 
-#[test]
-fn corpus_is_byte_identical_across_fronts() {
-    run_differential(CORPUS, NetConfig::new);
+/// Run `corpus` against one reactor and check every script's transcript,
+/// then the pipeline's accounting: `(succeeded, dead_lettered)`.
+fn run_corpus(corpus: &[Script], net: NetConfig, outcomes: (u64, u64)) {
+    let server = NetServer::start(net, serve_config()).expect("reactor start");
+    for script in corpus {
+        check_golden(&format!("{}.http", script.name), &run_script(server.local_addr(), script));
+    }
+    let report = server.shutdown();
+    assert!(report.ingest.is_balanced(), "{report:?}");
+    assert_eq!((report.ingest.succeeded, report.ingest.dead_lettered), outcomes);
 }
 
 #[test]
-fn limit_corpus_is_byte_identical_across_fronts() {
-    run_differential(LIMIT_CORPUS, tight_config);
+fn corpus_matches_the_recorded_transcripts() {
+    // Three snapshots stored (two versions of fetch-doc, the 100-continue
+    // ingest); two dead letters (the malformed body and the pipelined POST
+    // whose length overruns it).
+    run_corpus(CORPUS, NetConfig::new(), (3, 2));
 }
 
-/// `/metrics` bodies contain live histograms; both fronts must still agree
-/// on status, content type, and the families present.
 #[test]
-fn metrics_route_agrees_on_shape() {
-    let legacy = LegacyServer::start(NetConfig::new(), serve_config()).expect("legacy start");
-    let reactor = NetServer::start(NetConfig::new(), serve_config()).expect("reactor start");
+fn limit_corpus_matches_the_recorded_transcripts() {
+    run_corpus(LIMIT_CORPUS, tight_config(), (0, 0));
+}
+
+/// The `/metrics` families the front must render, in order.
+#[test]
+fn metrics_families_match_the_contract() {
+    let server = NetServer::start(NetConfig::new(), serve_config()).expect("reactor start");
     let script = Script {
         name: "metrics",
         writes: &["GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"],
     };
-    let old = String::from_utf8(run_script(legacy.local_addr(), &script)).expect("utf8");
-    let new = String::from_utf8(run_script(reactor.local_addr(), &script)).expect("utf8");
-    for text in [&old, &new] {
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
-        assert!(text.contains("Content-Type: text/plain; version=0.0.4"), "{text}");
-        assert!(text.contains("# TYPE ingest_succeeded_total counter"), "{text}");
-        assert!(text.contains("# TYPE http_requests_total counter"), "{text}");
-    }
-    // The reactor additionally exports its loop families; the legacy front
-    // renders them too (same registry), so the family set matches.
-    let families = |text: &str| -> Vec<String> {
-        text.lines()
-            .filter(|l| l.starts_with("# TYPE "))
-            .map(str::to_string)
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(families(&old), families(&new), "metric family sets diverged");
-    drop(legacy.shutdown());
-    drop(reactor.shutdown());
+    let text = String::from_utf8(run_script(server.local_addr(), &script)).expect("utf8");
+    assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+    assert!(text.contains("Content-Type: text/plain; version=0.0.4"), "{text}");
+    let families: String =
+        text.lines().filter(|l| l.starts_with("# TYPE ")).map(|l| format!("{l}\n")).collect();
+    check_golden("metrics_families.txt", families.as_bytes());
+    drop(server.shutdown());
 }

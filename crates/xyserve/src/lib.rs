@@ -12,9 +12,6 @@
 //!   routed to a home deque, idle workers steal FIFO batches of whole
 //!   key-runs, with a single global capacity budget as the backpressure
 //!   toward the crawler;
-//! - [`queue::Queue`] — the original bounded MPMC work queue, still used
-//!   where strict FIFO over one lane is the right shape (the HTTP front's
-//!   connection queue in `xynet`);
 //! - [`IngestServer`] — a worker pool over hash-sharded
 //!   [`xywarehouse::Repository`] shards, with per-key ordering, bounded
 //!   retry for transient failures, and a dead-letter queue for poison
@@ -45,15 +42,11 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
-pub mod queue;
-pub mod runner;
 pub mod scheduler;
 pub mod server;
 
 pub use metrics::{Counter, Gauge, Histogram, Metrics};
-pub use queue::{Closed, Queue, TryPushError};
-pub use runner::DiffRunner;
-pub use scheduler::{SchedEvent, SchedHook, Scheduler, Steal};
+pub use scheduler::{Closed, SchedEvent, SchedHook, Scheduler, Steal, TryPushError};
 pub use server::{
     home_worker, Completed, CompletionFn, ConfigError, DeadLetter, EffectiveConfig, FaultHook,
     IngestOutcome, IngestServer, ServeConfig, ShutdownReport, SnapshotPolicy, StartError,

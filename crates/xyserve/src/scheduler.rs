@@ -1,7 +1,6 @@
-//! A sharded work-stealing scheduler: the many-core successor of the single
-//! MPMC [`Queue`](crate::queue::Queue).
+//! A sharded work-stealing scheduler: the ingest pool's bounded job store.
 //!
-//! The single queue serializes every producer and consumer on one
+//! A single MPMC queue would serialize every producer and consumer on one
 //! mutex/condvar pair; this scheduler splits the storage into one bounded
 //! deque per worker. Producers route each job to its key's **home deque**
 //! (`key_hash % workers`, the same hash family the repository shards use),
@@ -9,7 +8,7 @@
 //! FIFO batch from the *front* of a victim's deque — oldest jobs first, so
 //! stealing drains backlog rather than racing the owner for fresh work.
 //!
-//! Contracts carried over from the single queue, and how they survive
+//! The contracts a single bounded queue would give, and how they survive
 //! sharding:
 //!
 //! - **Global backpressure.** Capacity is a single atomic budget over the
@@ -39,10 +38,23 @@
 //! to inject seeded yields and replays whole interleavings through
 //! [`Scheduler::try_push`]/[`Scheduler::try_pop`] from a single thread.
 
-use crate::queue::{Closed, TryPushError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+
+/// The item handed back by [`Scheduler::push`] when the scheduler is closed.
+#[derive(Debug)]
+pub struct Closed<T>(pub T);
+
+/// Why [`Scheduler::try_push`] refused an item (the item rides along).
+#[derive(Debug)]
+pub enum TryPushError<T> {
+    /// The scheduler is at capacity; the caller should shed load (this is
+    /// the signal the HTTP front turns into `503 Retry-After`).
+    Full(T),
+    /// The scheduler is closed (draining shutdown).
+    Closed(T),
+}
 
 /// Observer called at every scheduling decision point (no locks held).
 pub type SchedHook = Arc<dyn Fn(SchedEvent) + Send + Sync>;

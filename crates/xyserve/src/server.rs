@@ -22,13 +22,13 @@
 //! in exactly one of {succeeded, dead-lettered}, which
 //! [`ShutdownReport::is_balanced`] checks after a draining shutdown.
 //!
-//! Callers that need the outcome of an individual snapshot (the HTTP front
-//! answering a `POST`) use [`IngestServer::submit_tracked`] /
-//! [`IngestServer::try_submit_tracked`]: the returned [`Ticket`] resolves to
-//! the stored version number and delta size, or to the dead letter. The
-//! `try_` variant never blocks — a full queue comes back as
-//! [`SubmitError::QueueFull`], which the network layer turns into
-//! `503 Retry-After`.
+//! Callers that need the outcome of an individual snapshot use
+//! [`IngestServer::submit_tracked`]: the returned [`Ticket`] resolves to the
+//! stored version number and delta size, or to the dead letter. The HTTP
+//! front uses [`IngestServer::try_submit_with`] instead, which never blocks
+//! — a full queue comes back as [`SubmitError::QueueFull`], which the
+//! network layer turns into `503 Retry-After` — and delivers the outcome
+//! through a completion callback.
 //!
 //! With a [`SnapshotPolicy`] configured, a background thread periodically
 //! persists every shard through [`xywarehouse::SnapshotStore`] (crash-safe
@@ -38,8 +38,7 @@
 //! version chains.
 
 use crate::metrics::Metrics;
-use crate::queue::TryPushError;
-use crate::scheduler::{SchedHook, Scheduler};
+use crate::scheduler::{Closed, SchedHook, Scheduler, TryPushError};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
@@ -181,15 +180,6 @@ pub enum ConfigError {
     },
     /// `steal_batch` was 0 — idle workers could never steal anything.
     ZeroStealBatch,
-    /// `diff_threads` was 0 — every diff would have nowhere to run.
-    ZeroDiffThreads,
-    /// `diff_threads` exceeded [`ServeConfig::MAX_WORKERS`].
-    TooManyDiffThreads {
-        /// The rejected intra-diff thread count.
-        requested: usize,
-        /// The permitted maximum.
-        max: usize,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -205,10 +195,6 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "shards = {requested} is not a power of two")
             }
             ConfigError::ZeroStealBatch => write!(f, "steal batch must be at least 1"),
-            ConfigError::ZeroDiffThreads => write!(f, "diff threads must be at least 1"),
-            ConfigError::TooManyDiffThreads { requested, max } => {
-                write!(f, "diff_threads = {requested} exceeds the maximum of {max}")
-            }
         }
     }
 }
@@ -236,8 +222,6 @@ pub struct EffectiveConfig {
     pub queue_capacity: usize,
     /// Jobs an idle worker steals per scan (before key-run completion).
     pub steal_batch: usize,
-    /// Intra-document diff parallelism per worker (1 = serial diffs).
-    pub diff_threads: usize,
     /// Diff matcher mode every shard runs (`buld`, `unordered`, …).
     pub mode: MatchMode,
     /// Transient-failure retry budget.
@@ -253,7 +237,7 @@ impl std::fmt::Display for EffectiveConfig {
         write!(
             f,
             "workers={} available_parallelism={} oversubscribed={} shards={} \
-             queue_capacity={} steal_batch={} diff_threads={} mode={} max_retries={} wal={} \
+             queue_capacity={} steal_batch={} mode={} max_retries={} wal={} \
              compact_chain_max={}",
             self.workers,
             self.available_parallelism,
@@ -261,7 +245,6 @@ impl std::fmt::Display for EffectiveConfig {
             self.shards,
             self.queue_capacity,
             self.steal_batch,
-            self.diff_threads,
             self.mode,
             self.max_retries,
             self.wal,
@@ -295,12 +278,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Jobs an idle worker steals per scan (whole key-runs may extend it).
     pub steal_batch: usize,
-    /// Intra-document diff parallelism: each worker's differ fans the
-    /// data-parallel diff stages (phase-2 hashing, phase-3 candidate
-    /// pre-verification) out over this many scoped threads via
-    /// [`crate::DiffRunner`]. 1 (the default) keeps diffs strictly serial
-    /// and allocation-free; deltas are byte-identical at any setting.
-    pub diff_threads: usize,
     /// Diff options used by every shard.
     pub diff_options: DiffOptions,
     /// Subscriptions evaluated on every ingested delta.
@@ -383,23 +360,6 @@ impl ServeConfig {
         Ok(self)
     }
 
-    /// Set the intra-document diff parallelism. Rejects 0 and counts above
-    /// [`ServeConfig::MAX_WORKERS`]; oversubscribing the host is allowed
-    /// (the result is byte-identical, only the wall-clock differs).
-    pub fn with_diff_threads(mut self, threads: usize) -> Result<ServeConfig, ConfigError> {
-        if threads == 0 {
-            return Err(ConfigError::ZeroDiffThreads);
-        }
-        if threads > ServeConfig::MAX_WORKERS {
-            return Err(ConfigError::TooManyDiffThreads {
-                requested: threads,
-                max: ServeConfig::MAX_WORKERS,
-            });
-        }
-        self.diff_threads = threads;
-        Ok(self)
-    }
-
     /// Check every invariant the `with_*` builders enforce — the backstop
     /// for callers that set the public fields directly.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -424,15 +384,6 @@ impl ServeConfig {
         if self.steal_batch == 0 {
             return Err(ConfigError::ZeroStealBatch);
         }
-        if self.diff_threads == 0 {
-            return Err(ConfigError::ZeroDiffThreads);
-        }
-        if self.diff_threads > ServeConfig::MAX_WORKERS {
-            return Err(ConfigError::TooManyDiffThreads {
-                requested: self.diff_threads,
-                max: ServeConfig::MAX_WORKERS,
-            });
-        }
         Ok(())
     }
 
@@ -447,7 +398,6 @@ impl ServeConfig {
             shards: self.shards,
             queue_capacity: self.queue_capacity,
             steal_batch: self.steal_batch,
-            diff_threads: self.diff_threads,
             mode: self.diff_options.mode,
             max_retries: self.max_retries,
             wal: self.wal.is_some(),
@@ -524,7 +474,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("max_retries", &self.max_retries)
             .field("shards", &self.shards)
             .field("steal_batch", &self.steal_batch)
-            .field("diff_threads", &self.diff_threads)
             .field("mode", &self.diff_options.mode)
             .field("fault_hook", &self.fault_hook.is_some())
             .field("sched_hook", &self.sched_hook.is_some())
@@ -543,7 +492,6 @@ impl Default for ServeConfig {
             max_retries: 2,
             shards: 8,
             steal_batch: 4,
-            diff_threads: 1,
             diff_options: DiffOptions::default(),
             alerter: Alerter::new(),
             fault_hook: None,
@@ -702,38 +650,19 @@ impl ShutdownReport {
 }
 
 /// A completion callback: invoked exactly once with the submission's
-/// outcome, from whichever worker (or canceller) resolves it. Used by the
-/// `xynet` reactor, whose event loop cannot block on a [`Ticket`]: the
-/// callback records the outcome and wakes the readiness loop instead.
+/// outcome, from whichever worker (or canceller) resolves it. This is the
+/// one delivery mechanism: a [`Ticket`] is a callback that sends into a
+/// channel, and the `xynet` reactor, whose event loop cannot block on a
+/// [`Ticket`], passes a callback that records the outcome and wakes the
+/// readiness loop instead.
 pub type CompletionFn = Box<dyn FnOnce(IngestOutcome) + Send + 'static>;
-
-/// How one submission's outcome is delivered back to its submitter.
-enum Done {
-    /// Tracked via a [`Ticket`] channel (the blocking API).
-    Channel(mpsc::Sender<IngestOutcome>),
-    /// Delivered by invoking a callback (the non-blocking reactor API).
-    Callback(CompletionFn),
-}
-
-impl Done {
-    /// Deliver the outcome. Channel delivery is best-effort (the submitter
-    /// may have stopped waiting); callback delivery always runs.
-    fn deliver(self, outcome: IngestOutcome) {
-        match self {
-            Done::Channel(tx) => {
-                let _ = tx.send(outcome);
-            }
-            Done::Callback(f) => f(outcome),
-        }
-    }
-}
 
 struct Job {
     key: String,
     xml: String,
     seq: u64,
     /// Outcome delivery for tracked submissions; `None` for fire-and-forget.
-    done: Option<Done>,
+    done: Option<CompletionFn>,
 }
 
 #[derive(Default)]
@@ -771,7 +700,6 @@ struct Inner {
     dead: Mutex<Vec<DeadLetter>>,
     notifications: Mutex<Vec<Notification>>,
     max_retries: u32,
-    diff_threads: usize,
     mode: MatchMode,
     fault_hook: Option<FaultHook>,
     snapshot: Option<SnapshotState>,
@@ -872,7 +800,6 @@ impl IngestServer {
             dead: Mutex::new(Vec::new()),
             notifications: Mutex::new(Vec::new()),
             max_retries: config.max_retries,
-            diff_threads: config.diff_threads,
             mode: config.diff_options.mode,
             fault_hook: config.fault_hook.clone(),
             snapshot,
@@ -914,7 +841,22 @@ impl IngestServer {
         Ok(IngestServer { inner, workers, snapshotter, compactor })
     }
 
-    fn submit_with(&self, key: &str, xml: String, done: Option<Done>) -> Result<(), SubmitError> {
+    /// Blocking reservation: assign the key's next sequence number, then
+    /// push, waiting while the scheduler is at capacity.
+    ///
+    /// This is deliberately a separate path from the gate-locked
+    /// reservation in [`IngestServer::try_submit_with`]. A push that blocks
+    /// must not hold the gate lock: workers take that same lock in
+    /// `admit`/`advance` between pops, so a submitter waiting for space
+    /// while holding it would stall every worker, and the space would never
+    /// come. The number is therefore burned before the push, and a push
+    /// refused by shutdown cancels it.
+    fn submit_with(
+        &self,
+        key: &str,
+        xml: String,
+        done: Option<CompletionFn>,
+    ) -> Result<(), SubmitError> {
         let seq = {
             // INVARIANT: a poisoned lock means a worker panicked mid-update;
             // the server cannot vouch for its state, so the panic propagates.
@@ -931,7 +873,7 @@ impl IngestServer {
                 self.inner.sync_sched_metrics();
                 Ok(())
             }
-            Err(crate::queue::Closed(job)) => {
+            Err(Closed(job)) => {
                 // The sequence number is already burned; account for it so
                 // successors parked behind it are not stranded.
                 self.inner.cancel(job);
@@ -955,46 +897,12 @@ impl IngestServer {
         xml: impl Into<String>,
     ) -> Result<Ticket, SubmitError> {
         let (tx, rx) = mpsc::channel();
-        self.submit_with(key, xml.into(), Some(Done::Channel(tx)))?;
+        // Best effort: the submitter may have stopped waiting.
+        let done: CompletionFn = Box::new(move |outcome| {
+            let _ = tx.send(outcome);
+        });
+        self.submit_with(key, xml.into(), Some(done))?;
         Ok(Ticket { rx })
-    }
-
-    /// Non-blocking [`IngestServer::submit_tracked`]: a full queue returns
-    /// [`SubmitError::QueueFull`] immediately — without burning a sequence
-    /// number — so the network layer can shed load with `503 Retry-After`.
-    pub fn try_submit_tracked(
-        &self,
-        key: &str,
-        xml: impl Into<String>,
-    ) -> Result<Ticket, SubmitError> {
-        let (tx, rx) = mpsc::channel();
-        // Hold the gate lock across reservation *and* the non-blocking push:
-        // on Full the unused sequence number is released without racing a
-        // concurrent submitter for the same key. Safe against the queue
-        // lock — no path acquires the gate lock while holding it.
-        // INVARIANT: a poisoned lock means a worker panicked mid-update;
-        // the server cannot vouch for its state, so the panic propagates.
-        let mut gates = self.inner.gates.lock().unwrap();
-        let g = gates.entry(key.to_string()).or_default();
-        let seq = g.next_submit;
-        let job = Job { key: key.to_string(), xml: xml.into(), seq, done: Some(Done::Channel(tx)) };
-        match self.inner.sched.try_push(key_hash(key), job) {
-            Ok(()) => {
-                g.next_submit += 1;
-                drop(gates);
-                self.inner.metrics.enqueued.inc();
-                self.inner.sync_sched_metrics();
-                Ok(Ticket { rx })
-            }
-            Err(TryPushError::Full(_)) => Err(SubmitError::QueueFull),
-            Err(TryPushError::Closed(job)) => {
-                g.next_submit += 1;
-                drop(gates);
-                self.inner.metrics.enqueued.inc();
-                self.inner.cancel(job);
-                Err(SubmitError::ShuttingDown)
-            }
-        }
     }
 
     /// Non-blocking submit delivering the outcome through a callback
@@ -1004,25 +912,26 @@ impl IngestServer {
     /// from inside the callback.
     ///
     /// On `Err` the callback has **not** been invoked and never will be —
-    /// the caller still owns the failure response. Backpressure semantics
-    /// match [`IngestServer::try_submit_tracked`]: a full queue returns
-    /// [`SubmitError::QueueFull`] without burning a sequence number.
+    /// the caller still owns the failure response. A full queue returns
+    /// [`SubmitError::QueueFull`] without burning a sequence number, so the
+    /// network layer can shed load with `503 Retry-After`.
     pub fn try_submit_with(
         &self,
         key: &str,
         xml: impl Into<String>,
         done: CompletionFn,
     ) -> Result<(), SubmitError> {
-        // Same locking argument as try_submit_tracked: the gate lock spans
-        // reservation and the non-blocking push so Full releases the
-        // sequence number atomically with respect to same-key submitters.
+        // Hold the gate lock across reservation *and* the non-blocking push:
+        // on Full the unused sequence number is released without racing a
+        // concurrent submitter for the same key. Safe because the push never
+        // waits, and no path takes the gate lock while holding the
+        // scheduler's.
         // INVARIANT: a poisoned lock means a worker panicked mid-update;
         // the server cannot vouch for its state, so the panic propagates.
         let mut gates = self.inner.gates.lock().unwrap();
         let g = gates.entry(key.to_string()).or_default();
         let seq = g.next_submit;
-        let job =
-            Job { key: key.to_string(), xml: xml.into(), seq, done: Some(Done::Callback(done)) };
+        let job = Job { key: key.to_string(), xml: xml.into(), seq, done: Some(done) };
         match self.inner.sched.try_push(key_hash(key), job) {
             Ok(()) => {
                 g.next_submit += 1;
@@ -1236,28 +1145,13 @@ impl Inner {
         self.metrics.stolen_jobs.observe_total(self.sched.stolen_jobs());
     }
 
-    /// A worker's differ: repository options + scratch, plus the
-    /// scheduler-backed parallel runner when intra-diff parallelism is on.
-    fn make_differ(&self) -> Differ {
-        let differ = self.shards[0].differ();
-        if self.diff_threads > 1 {
-            differ.with_runner(std::sync::Arc::new(crate::runner::DiffRunner::new(
-                self.diff_threads,
-            )))
-        } else {
-            differ
-        }
-    }
-
     fn worker_loop(&self, worker: usize) {
         // One differ per worker thread, reused for every diff this worker
         // runs: it owns the options and the scratch (see xydiff::Differ),
         // so the steady-state ingest loop allocates no per-diff working
         // memory. Per-document signature caches live with the stored
         // documents; the repository threads them through diff_with_cache.
-        // With diff_threads > 1 the differ additionally fans its
-        // data-parallel stages out over a scheduler-backed runner.
-        let mut differ = self.make_differ();
+        let mut differ = self.shards[0].differ();
         while let Some(job) = self.sched.pop(worker) {
             self.sync_sched_metrics();
             let mut runnable = self.admit(job);
@@ -1333,7 +1227,7 @@ impl Inner {
             }
         };
         // Rare path (shutdown race), so a cold differ is fine.
-        let mut differ = self.make_differ();
+        let mut differ = self.shards[0].differ();
         while let Some(j) = runnable {
             let key = j.key.clone();
             let seq = j.seq;
@@ -1342,11 +1236,18 @@ impl Inner {
         }
     }
 
-    fn dead_letter(&self, key: &str, seq: u64, attempts: u32, error: String, done: Option<Done>) {
+    fn dead_letter(
+        &self,
+        key: &str,
+        seq: u64,
+        attempts: u32,
+        error: String,
+        done: Option<CompletionFn>,
+    ) {
         self.metrics.dead_lettered.inc();
         let letter = DeadLetter { key: key.to_string(), seq, attempts, error };
         if let Some(done) = done {
-            done.deliver(Err(letter.clone()));
+            done(Err(letter.clone()));
         }
         // INVARIANT: a poisoned lock means a worker panicked mid-update;
         // the server cannot vouch for its state, so the panic propagates.
@@ -1466,7 +1367,7 @@ impl Inner {
         self.metrics.ingest_mode.inc(self.mode);
         self.metrics.total_time.observe(started.elapsed());
         if let Some(done) = done {
-            done.deliver(Ok(Completed {
+            done(Ok(Completed {
                 key,
                 seq,
                 version: out.version,
@@ -1820,10 +1721,20 @@ mod tests {
         // And the server-level contract on the shutdown path: QueueFull
         // never burns a sequence number, ShuttingDown does (and resolves
         // the ticket with a dead letter).
+        // The refused submission's callback is never invoked: the Err
+        // already answers it.
+        use std::sync::atomic::{AtomicBool, Ordering};
         let server = tiny_server(1);
         server.begin_drain();
-        let err = server.try_submit_tracked("doc", "<a/>");
+        let called = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&called);
+        let err = server.try_submit_with(
+            "doc",
+            "<a/>",
+            Box::new(move |_| flag.store(true, Ordering::SeqCst)),
+        );
         assert!(matches!(err, Err(SubmitError::ShuttingDown)));
+        assert!(!called.load(Ordering::SeqCst), "refused submit answered twice");
         let report = server.shutdown();
         assert!(report.is_balanced(), "{report:?}");
         assert_eq!(report.dead_lettered, 1);

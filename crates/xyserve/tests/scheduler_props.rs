@@ -1,13 +1,12 @@
-//! Direct property tests for the ingestion queue and the work-stealing
-//! scheduler: the blocking/refusal contracts the pipeline is built on,
-//! checked both as pointed edge-case tests and as model-based comparisons
-//! against a plain `VecDeque` reference.
+//! Direct property tests for the work-stealing scheduler: the
+//! blocking/refusal contracts the ingest pipeline is built on, checked both
+//! as pointed edge-case tests and as model-based properties.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use xyserve::{Queue, Scheduler, Steal, TryPushError};
+use xyserve::{Scheduler, Steal, TryPushError};
 
 // ---------------------------------------------------------------------------
 // Pointed edge cases.
@@ -17,15 +16,6 @@ use xyserve::{Queue, Scheduler, Steal, TryPushError};
 /// item back to the caller, on the blocking and the non-blocking path alike.
 #[test]
 fn push_after_close_returns_the_item() {
-    let q = Queue::new(4);
-    q.close();
-    let refused = q.push("payload").unwrap_err();
-    assert_eq!(refused.0, "payload");
-    match q.try_push("other") {
-        Err(TryPushError::Closed(item)) => assert_eq!(item, "other"),
-        other => panic!("expected Closed, got {other:?}"),
-    }
-
     let s = Scheduler::new(3, 8, 2);
     s.close();
     let refused = s.push(7, "payload").unwrap_err();
@@ -36,23 +26,10 @@ fn push_after_close_returns_the_item() {
     }
 }
 
-/// Consumers blocked on an empty queue all wake with `None` when a drain
+/// Consumers blocked on an empty scheduler all wake with `None` when a drain
 /// begins; none of them sleeps through the close.
 #[test]
 fn blocked_consumers_wake_with_none_on_drain() {
-    let q = Arc::new(Queue::<u32>::new(4));
-    let waiters: Vec<_> = (0..3)
-        .map(|_| {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop())
-        })
-        .collect();
-    std::thread::sleep(Duration::from_millis(30));
-    q.close();
-    for w in waiters {
-        assert_eq!(w.join().unwrap(), None);
-    }
-
     let s = Arc::new(Scheduler::<u32>::new(3, 8, 2));
     let waiters: Vec<_> = (0..3)
         .map(|w| {
@@ -68,50 +45,25 @@ fn blocked_consumers_wake_with_none_on_drain() {
 }
 
 /// `try_push` discriminates the two refusal reasons: `Full` while at
-/// capacity and open, `Closed` afterwards — even when the queue is both
-/// full and closed (shedding load must not be mistaken for shutdown).
+/// capacity and open, `Closed` afterwards — even when the scheduler is
+/// both full and closed (shedding load must not be mistaken for shutdown).
 #[test]
 fn try_push_discriminates_full_from_closed() {
-    let q = Queue::new(2);
-    q.try_push(1).unwrap();
-    q.try_push(2).unwrap();
-    assert!(matches!(q.try_push(3), Err(TryPushError::Full(3))));
-    q.close();
-    // Still at capacity, but closed wins: retrying is pointless now.
-    assert!(matches!(q.try_push(4), Err(TryPushError::Closed(4))));
-
     let s = Scheduler::new(2, 2, 1);
     s.try_push(0, 1).unwrap();
     s.try_push(1, 2).unwrap();
     assert!(matches!(s.try_push(0, 3), Err(TryPushError::Full(3))));
     s.close();
+    // Still at capacity, but closed wins: retrying is pointless now.
     assert!(matches!(s.try_push(0, 4), Err(TryPushError::Closed(4))));
 }
 
 /// Capacity 1 is the tightest legal configuration: every push alternates
 /// with a pop, blocking pushes park until the single slot frees, and the
-/// scheduler's budget stays global even when the slot sits on another
-/// worker's deque.
+/// budget stays global even when the slot sits on another worker's deque:
+/// a job parked on deque 1 refuses pushes homed to deque 0 as well.
 #[test]
 fn capacity_one_alternates_push_and_pop() {
-    let q = Arc::new(Queue::new(1));
-    q.push(0).unwrap();
-    assert!(matches!(q.try_push(99), Err(TryPushError::Full(99))));
-    let pusher = {
-        let q = Arc::clone(&q);
-        std::thread::spawn(move || {
-            for i in 1..50 {
-                q.push(i).unwrap();
-            }
-        })
-    };
-    for i in 0..50 {
-        assert_eq!(q.pop(), Some(i), "capacity-1 queue must stay FIFO");
-    }
-    pusher.join().unwrap();
-
-    // Scheduler: capacity 1 is shared across all deques, so a job parked
-    // on deque 1 refuses pushes homed to deque 0 as well.
     let s = Arc::new(Scheduler::new(2, 1, 1));
     s.push(1, 0u32).unwrap();
     assert!(matches!(s.try_push(0, 99), Err(TryPushError::Full(99))));
@@ -151,75 +103,8 @@ fn try_pop_steals_before_reporting_empty() {
 // Model-based properties.
 // ---------------------------------------------------------------------------
 
-/// One step of the single-threaded model walk.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Push(u32),
-    Pop,
-    Close,
-}
-
-fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        (0u32..3, 0u32..1000).prop_map(|(kind, v)| match kind {
-            0 => Op::Push(v),
-            1 => Op::Pop,
-            _ => Op::Close,
-        }),
-        0..40,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Against any single-threaded op sequence the queue behaves exactly
-    /// like a bounded `VecDeque` with a closed flag: same accepted pushes,
-    /// same refusal reasons, same popped values, same final contents.
-    #[test]
-    fn queue_matches_vecdeque_model(ops in arb_ops(), cap in 1usize..6) {
-        let q = Queue::new(cap);
-        let mut model: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-        let mut closed = false;
-        for op in ops {
-            match op {
-                Op::Push(v) => match q.try_push(v) {
-                    Ok(()) => {
-                        prop_assert!(!closed && model.len() < cap, "accepted {} wrongly", v);
-                        model.push_back(v);
-                    }
-                    Err(TryPushError::Full(got)) => {
-                        prop_assert_eq!(got, v);
-                        prop_assert!(!closed && model.len() >= cap, "spurious Full");
-                    }
-                    Err(TryPushError::Closed(got)) => {
-                        prop_assert_eq!(got, v);
-                        prop_assert!(closed, "spurious Closed");
-                    }
-                },
-                Op::Pop => {
-                    // Only pop when the model proves it cannot block forever.
-                    if !model.is_empty() || closed {
-                        prop_assert_eq!(q.pop(), model.pop_front());
-                    }
-                }
-                Op::Close => {
-                    q.close();
-                    closed = true;
-                }
-            }
-            prop_assert_eq!(q.len(), model.len());
-            prop_assert_eq!(q.is_empty(), model.is_empty());
-            prop_assert_eq!(q.is_closed(), closed);
-        }
-        // Drain whatever is left and compare the tails.
-        q.close();
-        let mut tail = Vec::new();
-        while let Some(v) = q.pop() {
-            tail.push(v);
-        }
-        prop_assert_eq!(tail, model.into_iter().collect::<Vec<_>>());
-    }
 
     /// A worker that owns none of the keys drains a foreign deque in the
     /// victim's exact FIFO order, for any key mix and batch size: batches

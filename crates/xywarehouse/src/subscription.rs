@@ -146,14 +146,14 @@ impl Subscription {
 
     /// Does `doc_key` pass the document restriction?
     pub fn document_matches(&self, doc_key: &str) -> bool {
-        self.doc_key.as_deref().is_none_or(|k| k == doc_key)
+        self.doc_key.as_deref().map_or(true, |k| k == doc_key)
     }
 
     /// Does `content` pass the substring restriction?
     pub fn content_matches(&self, content: &str) -> bool {
         self.content_contains
             .as_deref()
-            .is_none_or(|needle| content.contains(needle))
+            .map_or(true, |needle| content.contains(needle))
     }
 }
 

@@ -1,24 +1,16 @@
-//! Equivalence properties for the zero-copy capture path and the
-//! intra-document parallel diff.
+//! Equivalence properties for the zero-copy capture path.
 //!
 //! The performance work (DESIGN.md §12) must be invisible in the output:
 //! a delta captured with arena-borrowed payloads serializes byte-for-byte
-//! like one captured with owned clones, and a diff sharded across worker
-//! threads produces byte-for-byte the delta the serial diff produces — at
-//! every thread count, including oversubscribed ones. On top of byte
-//! equality, the serialized zero-copy delta must still parse and apply:
-//! `apply(diff(a, b), a) == b` regardless of `--diff-threads`.
+//! like one captured with owned clones. On top of byte equality, the
+//! serialized zero-copy delta must still parse and apply:
+//! `apply(diff(a, b), a) == b`.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use xydiff_suite::xydelta::{xml_io, CaptureMode, PayloadSource, XidDocument};
-use xydiff_suite::xydiff::{diff, DiffOptions, Differ, ParallelRunner, StdScopeRunner};
-use xydiff_suite::xyserve::DiffRunner;
+use xydiff_suite::xydiff::{diff, DiffOptions, Differ};
 use xydiff_suite::xysim::{generate, simulate, ChangeConfig, DocGenConfig, DocKind};
 use xydiff_suite::xytree::Document;
-
-/// The thread counts the CI matrix pins; 8 oversubscribes every CI host.
-const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
 
 const KINDS: &[DocKind] = &[DocKind::Catalog, DocKind::Feed, DocKind::Generic];
 
@@ -71,40 +63,15 @@ fn zero_copy_capture_serializes_byte_identically() {
     }
 }
 
-#[test]
-fn parallel_diff_is_byte_identical_at_every_thread_count() {
-    let (old, new) = corpus_case(DocKind::Catalog, 900, 0.15, 41);
-    let want = reference_xml(&old, &new);
-    for &threads in THREAD_COUNTS {
-        // Both runner implementations: the reference scoped-thread runner
-        // and the production work-stealing facade.
-        let runners: [Arc<dyn ParallelRunner>; 2] = [
-            Arc::new(StdScopeRunner::new(threads)),
-            Arc::new(DiffRunner::new(threads)),
-        ];
-        for runner in runners {
-            let label = format!("{runner:?} at {threads} threads");
-            let mut differ = Differ::new().with_runner(runner);
-            let result = differ.diff_consume(&old, new.clone());
-            assert_eq!(
-                xml_io::delta_to_xml(&result.delta),
-                want,
-                "{label}: parallel delta diverged from serial"
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The full stack at once — zero-copy capture *and* the parallel
-    /// runner — against the serial owned reference, plus the end-to-end
-    /// patch property on the serialized output: parse the delta XML the
-    /// zero-copy path emitted and apply it to `a`; the result must equal
-    /// `b` at every thread count.
+    /// The zero-copy stack against the owned reference, plus the
+    /// end-to-end patch property on the serialized output: parse the delta
+    /// XML the zero-copy path emitted and apply it to `a`; the result must
+    /// equal `b`.
     #[test]
-    fn prop_zero_copy_parallel_diff_applies(
+    fn prop_zero_copy_diff_applies(
         seed in 0u64..10_000,
         rate_pct in 0u32..35,
         kind_idx in 0usize..3,
@@ -112,27 +79,18 @@ proptest! {
         let rate = f64::from(rate_pct) / 100.0;
         let (old, new) = corpus_case(KINDS[kind_idx], 350, rate, seed);
         let want = reference_xml(&old, &new);
-        for &threads in THREAD_COUNTS {
-            let mut differ = Differ::new()
-                .with_capture(CaptureMode::Borrowed)
-                .with_runner(Arc::new(DiffRunner::new(threads)));
-            let result = differ.diff_consume(&old, new.clone());
-            let src = PayloadSource {
-                old: &old.doc.tree,
-                new: &result.new_version.doc.tree,
-            };
-            let got = xml_io::delta_to_xml_with(&result.delta, &src);
-            prop_assert_eq!(&got, &want, "threads={}", threads);
+        let mut differ = Differ::new().with_capture(CaptureMode::Borrowed);
+        let result = differ.diff_consume(&old, new.clone());
+        let src = PayloadSource {
+            old: &old.doc.tree,
+            new: &result.new_version.doc.tree,
+        };
+        let got = xml_io::delta_to_xml_with(&result.delta, &src);
+        prop_assert_eq!(&got, &want);
 
-            let parsed = xml_io::parse_delta(&got).expect("zero-copy delta XML parses");
-            let mut replay = old.clone();
-            parsed.apply_to(&mut replay).expect("zero-copy delta applies");
-            prop_assert_eq!(
-                replay.doc.to_xml(),
-                new.to_xml(),
-                "threads={}: apply(diff(a,b), a) != b",
-                threads
-            );
-        }
+        let parsed = xml_io::parse_delta(&got).expect("zero-copy delta XML parses");
+        let mut replay = old.clone();
+        parsed.apply_to(&mut replay).expect("zero-copy delta applies");
+        prop_assert_eq!(replay.doc.to_xml(), new.to_xml(), "apply(diff(a,b), a) != b");
     }
 }

@@ -75,10 +75,7 @@ fn drive_until(
 fn parse_responses(buf: &[u8]) -> (Vec<(u16, String)>, Vec<u8>) {
     let mut out = Vec::new();
     let mut rest = buf;
-    loop {
-        let Some(head_end) = rest.windows(4).position(|w| w == b"\r\n\r\n") else {
-            break;
-        };
+    while let Some(head_end) = rest.windows(4).position(|w| w == b"\r\n\r\n") {
         let head = String::from_utf8_lossy(&rest[..head_end + 4]).to_string();
         let Some(len) = head.lines().find_map(|l| {
             l.to_ascii_lowercase()

@@ -110,7 +110,7 @@ fn explore_single_threaded(seed: u64) {
                 }
             }
             _ => {
-                if !closed && rng.next().is_multiple_of(4) {
+                if !closed && rng.next() % 4 == 0 {
                     s.close();
                     closed = true;
                 }
@@ -167,7 +167,7 @@ fn explore_multi_threaded(seed: u64) {
     let s: Arc<Scheduler<(u64, u64)>> = Arc::new(
         Scheduler::new(workers, capacity, batch).with_hook(Arc::new(move |_| {
             let n = hook_events.fetch_add(1, Ordering::Relaxed);
-            if mix(seed ^ n).is_multiple_of(4) {
+            if mix(seed ^ n) % 4 == 0 {
                 std::thread::yield_now();
             }
         })),

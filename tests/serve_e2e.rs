@@ -71,7 +71,7 @@ fn post_snapshot(addr: SocketAddr, key: &str, xml: &str) -> (u16, String) {
 fn concurrent_http_clients_ingest_and_read_back_byte_identical() {
     let corpus = Arc::new(corpus(6, 4, 300, 77));
     let server = NetServer::start(
-        NetConfig::new().with_io_timeout(Duration::from_secs(3)),
+        NetConfig::new(),
         ServeConfig::new()
             .with_workers(3)
             .unwrap()
@@ -153,7 +153,7 @@ fn steal_heavy_workload_reads_back_byte_identical() {
     let hold = Arc::new(AtomicBool::new(true));
     let hold2 = Arc::clone(&hold);
     let server = NetServer::start(
-        NetConfig::new().with_io_timeout(Duration::from_secs(3)),
+        NetConfig::new(),
         ServeConfig::new()
             .with_workers(workers)
             .unwrap()
@@ -231,8 +231,7 @@ fn tmp_root(tag: &str) -> PathBuf {
 fn restart_from_snapshot_serves_the_same_versions() {
     let dir = tmp_root("restart");
     let corpus = corpus(3, 3, 200, 91);
-    let net =
-        || NetConfig::new().with_io_timeout(Duration::from_secs(3)).with_http_workers(2);
+    let net = NetConfig::new;
     let serve = |shards: usize| {
         ServeConfig::new()
             .with_workers(2)
