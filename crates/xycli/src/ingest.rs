@@ -10,61 +10,22 @@
 //! Exit codes: 0 all snapshots stored, 1 some snapshots dead-lettered,
 //! 2 usage/input error.
 
+use crate::pipeline::PipelineFlags;
 use crate::usage;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use xydiff::MatchMode;
-use xyserve::{IngestServer, ServeConfig, WalPolicy, WalSync};
+use xyserve::IngestServer;
 
 pub(crate) fn cmd_ingest(args: &[String]) -> Result<ExitCode, String> {
-    let mut config = ServeConfig::new();
+    let mut pipeline = PipelineFlags::default();
     let mut quiet = false;
     let mut dir = None;
-    let mut wal_dir = None;
-    let mut wal_sync = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if pipeline.take(a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
-            "--workers" => {
-                config = config
-                    .with_workers(flag_value(&mut it, "--workers")?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--queue" => {
-                config = config
-                    .with_queue_capacity(flag_value(&mut it, "--queue")?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--shards" => {
-                config = config
-                    .with_shards(flag_value(&mut it, "--shards")?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--steal-batch" => {
-                config = config
-                    .with_steal_batch(flag_value(&mut it, "--steal-batch")?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--mode" => {
-                let v = it.next().ok_or("--mode needs a value (buld|unordered|similarity)")?;
-                config =
-                    config.with_mode(v.parse::<MatchMode>().map_err(|e| format!("--mode: {e}"))?);
-            }
-            "--wal-dir" => {
-                let v = it.next().ok_or("--wal-dir needs a directory")?;
-                wal_dir = Some(v.clone());
-            }
-            "--wal-sync" => {
-                let v = it.next().ok_or("--wal-sync needs a mode (always | none)")?;
-                wal_sync = Some(
-                    WalSync::parse(v)
-                        .ok_or_else(|| format!("--wal-sync must be always or none, got {v:?}"))?,
-                );
-            }
-            "--compact-chain-max" => {
-                config =
-                    config.with_compact_chain_max(flag_value(&mut it, "--compact-chain-max")?);
-            }
             "--quiet" => quiet = true,
             f if !f.starts_with("--") => {
                 if dir.replace(PathBuf::from(f)).is_some() {
@@ -77,15 +38,7 @@ pub(crate) fn cmd_ingest(args: &[String]) -> Result<ExitCode, String> {
     let Some(dir) = dir else {
         return Err(format!("ingest needs a corpus directory\n{}", usage()));
     };
-    if let Some(wd) = wal_dir {
-        let mut policy = WalPolicy::new(wd);
-        if let Some(sync) = wal_sync {
-            policy = policy.with_sync(sync);
-        }
-        config = config.with_wal(policy);
-    } else if wal_sync.is_some() {
-        return Err("--wal-sync needs --wal-dir".to_string());
-    }
+    let config = pipeline.finish()?;
     let corpus = scan_corpus(&dir)?;
     if corpus.is_empty() {
         return Err(format!("{}: no .xml snapshots found", dir.display()));
@@ -136,14 +89,6 @@ pub(crate) fn cmd_ingest(args: &[String]) -> Result<ExitCode, String> {
         print!("{}", report.metrics_text);
     }
     Ok(if report.dead_lettered == 0 { ExitCode::SUCCESS } else { ExitCode::from(1) })
-}
-
-fn flag_value<'a>(
-    it: &mut impl Iterator<Item = &'a String>,
-    flag: &str,
-) -> Result<usize, String> {
-    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse::<usize>().map_err(|_| format!("{flag} needs a positive integer, got {v:?}"))
 }
 
 /// Collect `(key, ordered snapshot paths)` pairs, sorted by key so output

@@ -27,6 +27,7 @@
 
 mod analyze;
 mod ingest;
+mod pipeline;
 mod serve;
 mod store;
 mod wal;
@@ -91,14 +92,13 @@ pub(crate) fn usage() -> String {
      xydiff store DIR history KEY         list versions with delta summaries\n  \
      xydiff store DIR changes KEY FROM TO print the aggregated delta\n  \
      xydiff store DIR keys                list stored documents\n  \
-     xydiff ingest [--workers N] [--queue N] [--shards N] [--steal-batch N] [--quiet] DIR\n  \
+     xydiff ingest [--workers N] [--queue N] [--shards N] [--quiet] DIR\n  \
        \u{20}      [--mode buld|unordered|similarity]\n  \
        \u{20}      [--wal-dir DIR] [--wal-sync always|none] [--compact-chain-max N]\n  \
        \u{20}                              ingest a snapshot corpus concurrently\n  \
        \u{20}                              (DIR/key/*.xml sorted = versions; metrics on stdout)\n  \
      xydiff serve [--addr HOST:PORT] [--workers N] [--queue N] [--shards N]\n  \
-       \u{20}      [--steal-batch N] [--max-body BYTES]\n  \
-       \u{20}      [--idle-timeout SECS] [--max-conns N] [--shed-conns N]\n  \
+       \u{20}      [--max-body BYTES] [--idle-timeout SECS] [--max-conns N] [--shed-conns N]\n  \
        \u{20}      [--read-budget BYTES] [--write-budget BYTES]\n  \
        \u{20}      [--mode buld|unordered|similarity]\n  \
        \u{20}      [--snapshot-dir DIR] [--snapshot-interval SECS] [--wal-dir DIR]\n  \

@@ -363,8 +363,13 @@ fn serve_banner_announces_a_parseable_address_then_the_backend() {
 /// The retired knobs are gone from the CLI, not silently ignored.
 #[test]
 fn retired_flags_are_rejected_as_unknown() {
-    let retired =
-        [("serve", "--http-workers"), ("serve", "--diff-threads"), ("ingest", "--diff-threads")];
+    let retired = [
+        ("serve", "--http-workers"),
+        ("serve", "--diff-threads"),
+        ("ingest", "--diff-threads"),
+        ("serve", "--steal-batch"),
+        ("ingest", "--steal-batch"),
+    ];
     for (cmd, flag) in retired {
         let out = run(&[cmd, flag, "2", "."]);
         assert_eq!(out.status.code(), Some(2), "{cmd} {flag}");

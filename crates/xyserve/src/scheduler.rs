@@ -216,29 +216,31 @@ impl<T> Scheduler<T> {
     /// Enqueue a job on the home deque of `key_hash`, blocking while the
     /// scheduler is at capacity. Returns the job back if the scheduler was
     /// closed before space opened up.
-    pub fn push(&self, key_hash: u64, item: T) -> Result<(), Closed<T>> {
+    pub fn push(&self, key_hash: u64, mut item: T) -> Result<(), Closed<T>> {
         loop {
-            match self.try_reserve() {
-                Ok(()) => {
-                    self.deposit(key_hash, item);
-                    return Ok(());
-                }
-                Err(true) => return Err(Closed(item)),
-                Err(false) => {
-                    // INVARIANT: `sync` guards no data; it cannot be
-                    // poisoned mid-update.
-                    let guard = self.sync.lock().unwrap();
-                    let s = self.state.load(Ordering::SeqCst);
-                    if s & CLOSED_BIT != 0 {
-                        return Err(Closed(item));
-                    }
-                    if s & DEPTH_MASK >= self.capacity {
-                        // INVARIANT: `sync` guards no data; it cannot be
-                        // poisoned mid-update.
-                        drop(self.not_full.wait(guard).unwrap());
-                    }
+            match self.try_push(key_hash, item) {
+                Ok(()) => return Ok(()),
+                Err(TryPushError::Closed(i)) => return Err(Closed(i)),
+                Err(TryPushError::Full(i)) => {
+                    item = i;
+                    self.wait_for_space();
                 }
             }
+        }
+    }
+
+    /// Block while the scheduler is at capacity and open. Returns once a
+    /// slot has been freed or the scheduler closed, or spuriously; callers
+    /// retry [`Scheduler::try_push`]. The caller should hold no lock a
+    /// worker needs, since only a pop frees a slot.
+    pub fn wait_for_space(&self) {
+        // INVARIANT: `sync` guards no data; it cannot be poisoned mid-update.
+        let guard = self.sync.lock().unwrap();
+        let s = self.state.load(Ordering::SeqCst);
+        if s & CLOSED_BIT == 0 && s & DEPTH_MASK >= self.capacity {
+            // INVARIANT: `sync` guards no data; it cannot be poisoned
+            // mid-update.
+            drop(self.not_full.wait(guard).unwrap());
         }
     }
 

@@ -1,10 +1,11 @@
 //! The concurrent ingestion server: Figure 1 at production scale.
 //!
-//! Snapshots enter through [`IngestServer::submit`], which assigns each
-//! document key a per-key sequence number and enqueues the snapshot on a
-//! bounded queue (blocking when full — backpressure toward the crawler). A
-//! pool of workers pops snapshots and runs the paper's loop: parse → BULD
-//! diff against the stored latest → append the delta to the version chain →
+//! Snapshots enter through one gate-locked admission path: the per-key
+//! gate assigns the document's next sequence number and the snapshot is
+//! pushed onto a bounded scheduler in the same critical section, so a
+//! number is handed out only to a snapshot that is actually queued. A pool
+//! of workers pops snapshots and runs the paper's loop: parse → BULD diff
+//! against the stored latest → append the delta to the version chain →
 //! evaluate subscriptions.
 //!
 //! Two failure classes are kept apart:
@@ -15,32 +16,38 @@
 //!   in for store I/O hiccups) are retried a bounded number of times before
 //!   dead-lettering.
 //!
-//! Because workers race on the shared queue, a per-key gate enforces that
+//! Because workers race on the shared queue, the per-key gate enforces that
 //! versions of one document apply in submission order: a popped snapshot
 //! whose predecessor is still in flight parks, and whoever finishes the
 //! predecessor continues the chain. Every submitted snapshot therefore ends
 //! in exactly one of {succeeded, dead-lettered}, which
 //! [`ShutdownReport::is_balanced`] checks after a draining shutdown.
 //!
-//! Callers that need the outcome of an individual snapshot use
-//! [`IngestServer::submit_tracked`]: the returned [`Ticket`] resolves to the
-//! stored version number and delta size, or to the dead letter. The HTTP
-//! front uses [`IngestServer::try_submit_with`] instead, which never blocks
-//! — a full queue comes back as [`SubmitError::QueueFull`], which the
-//! network layer turns into `503 Retry-After` — and delivers the outcome
-//! through a completion callback.
+//! The submit family differs only in what happens on a full queue and how
+//! the outcome is delivered. [`IngestServer::submit`] and
+//! [`IngestServer::submit_tracked`] wait for space with no lock held and
+//! retry (backpressure toward the crawler); the [`Ticket`] from
+//! `submit_tracked` resolves to the stored version number and delta size,
+//! or to the dead letter. The HTTP front uses
+//! [`IngestServer::try_submit_with`], which never blocks — a full queue
+//! comes back as [`SubmitError::QueueFull`], which the network layer turns
+//! into `503 Retry-After` — and delivers the outcome through a completion
+//! callback. A submit that meets a closed (draining) scheduler uses up its
+//! number and is dead-lettered; nothing can park behind that number,
+//! because a closed scheduler never reopens.
 //!
-//! With a [`SnapshotPolicy`] configured, a background thread periodically
-//! persists every shard through [`xywarehouse::SnapshotStore`] (crash-safe
-//! generation directories), a final snapshot is taken after the drain
-//! completes, and [`IngestServer::try_start`] restores the latest published
-//! generation before accepting work — a restarted server resumes its
-//! version chains.
+//! With a [`SnapshotPolicy`] or a chain-compaction bound configured, one
+//! background maintenance thread persists every shard through
+//! [`xywarehouse::SnapshotStore`] (crash-safe generation directories) on
+//! the snapshot interval and folds long delta chains through checkpoints.
+//! A final snapshot is taken after the drain completes, and
+//! [`IngestServer::try_start`] restores the latest published generation
+//! before accepting work — a restarted server resumes its version chains.
 
 use crate::metrics::Metrics;
-use crate::scheduler::{Closed, SchedHook, Scheduler, TryPushError};
+use crate::scheduler::{SchedHook, Scheduler, TryPushError};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -49,7 +56,7 @@ use std::time::{Duration, Instant};
 use xydelta::xml_io;
 use xydiff::{Differ, DiffOptions, MatchMode};
 use xytree::Document;
-use xywal::{Record, Wal, WalConfig, WalError, WalSync};
+use xywal::{Record, Wal, WalError};
 use xywarehouse::{
     Alerter, Notification, PersistError, ReplayError, Repository, SnapshotStore,
 };
@@ -62,51 +69,26 @@ pub type FaultHook = Arc<dyn Fn(&str, u64, u32) -> bool + Send + Sync>;
 ///
 /// Built with [`SnapshotPolicy::new`] plus `with_*` methods; the struct is
 /// `#[non_exhaustive]` so trigger knobs can be added without breaking
-/// callers.
+/// callers. The store keeps the two newest published generations.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct SnapshotPolicy {
     /// Root directory of the [`SnapshotStore`].
     pub dir: PathBuf,
-    /// Time-based trigger: snapshot at least this often while running.
+    /// Snapshot this often while running.
     pub interval: Duration,
-    /// Op-count trigger: also snapshot after this many successful ingests
-    /// since the previous snapshot (0 disables the trigger).
-    pub every_ops: u64,
-    /// Published generations to retain (minimum 1).
-    pub keep: usize,
 }
 
 impl SnapshotPolicy {
-    /// Snapshot into `dir` every 30 seconds, keeping 2 generations.
+    /// Snapshot into `dir` every 30 seconds.
     pub fn new(dir: impl Into<PathBuf>) -> SnapshotPolicy {
-        SnapshotPolicy {
-            dir: dir.into(),
-            interval: Duration::from_secs(30),
-            every_ops: 0,
-            keep: 2,
-        }
+        SnapshotPolicy { dir: dir.into(), interval: Duration::from_secs(30) }
     }
 
-    /// Set the time-based trigger interval.
+    /// Set the snapshot interval.
     #[must_use]
     pub fn with_interval(mut self, interval: Duration) -> SnapshotPolicy {
         self.interval = interval;
-        self
-    }
-
-    /// Also snapshot after `n` successful ingests since the last snapshot
-    /// (0 disables the op-count trigger).
-    #[must_use]
-    pub fn with_every_ops(mut self, n: u64) -> SnapshotPolicy {
-        self.every_ops = n;
-        self
-    }
-
-    /// Retain `keep` published generations (minimum 1).
-    #[must_use]
-    pub fn with_keep(mut self, keep: usize) -> SnapshotPolicy {
-        self.keep = keep.max(1);
         self
     }
 }
@@ -116,42 +98,10 @@ impl SnapshotPolicy {
 /// With a policy configured, each worker appends the computed delta (or the
 /// initial document) to a [`xywal::Wal`] **before** acknowledging the
 /// ingest, so a `kill -9` after the ack loses nothing: on restart the
-/// server replays `latest snapshot + log suffix`. Built with
-/// [`WalPolicy::new`] plus `with_*` methods; `#[non_exhaustive]` so knobs
-/// can be added without breaking callers.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub struct WalPolicy {
-    /// Directory holding the log segments.
-    pub dir: PathBuf,
-    /// Durability mode: fsync every append (group-committed) or leave
-    /// flushing to the OS.
-    pub sync: WalSync,
-    /// Roll to a new segment once the active one reaches this size.
-    pub segment_bytes: u64,
-}
-
-impl WalPolicy {
-    /// Log into `dir` with group-committed fsync on every append and 4 MiB
-    /// segments.
-    pub fn new(dir: impl Into<PathBuf>) -> WalPolicy {
-        WalPolicy { dir: dir.into(), sync: WalSync::Always, segment_bytes: 4 << 20 }
-    }
-
-    /// Set the durability mode.
-    #[must_use]
-    pub fn with_sync(mut self, sync: WalSync) -> WalPolicy {
-        self.sync = sync;
-        self
-    }
-
-    /// Set the segment roll size.
-    #[must_use]
-    pub fn with_segment_bytes(mut self, bytes: u64) -> WalPolicy {
-        self.segment_bytes = bytes;
-        self
-    }
-}
+/// server replays `latest snapshot + log suffix`. It is the log's own
+/// [`xywal::WalConfig`]: group-committed fsync on every append and 4 MiB
+/// segments unless its `with_*` builders say otherwise.
+pub use xywal::WalConfig as WalPolicy;
 
 /// A rejected [`ServeConfig`] knob, reported by the fallible `with_*`
 /// builders (and re-checked by [`IngestServer::try_start`] in case a caller
@@ -310,26 +260,14 @@ impl ServeConfig {
     /// [`ServeConfig::MAX_WORKERS`]; oversubscribing the host is allowed
     /// (and flagged by [`ServeConfig::effective`]).
     pub fn with_workers(mut self, workers: usize) -> Result<ServeConfig, ConfigError> {
-        if workers == 0 {
-            return Err(ConfigError::ZeroWorkers);
-        }
-        if workers > ServeConfig::MAX_WORKERS {
-            return Err(ConfigError::TooManyWorkers {
-                requested: workers,
-                max: ServeConfig::MAX_WORKERS,
-            });
-        }
         self.workers = workers;
-        Ok(self)
+        self.validate().map(|()| self)
     }
 
     /// Set the global scheduler capacity. Rejects 0.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Result<ServeConfig, ConfigError> {
-        if capacity == 0 {
-            return Err(ConfigError::ZeroQueueCapacity);
-        }
         self.queue_capacity = capacity;
-        Ok(self)
+        self.validate().map(|()| self)
     }
 
     /// Set the transient-failure retry budget.
@@ -341,27 +279,19 @@ impl ServeConfig {
 
     /// Set the repository shard count. Rejects 0 and non-powers-of-two.
     pub fn with_shards(mut self, shards: usize) -> Result<ServeConfig, ConfigError> {
-        if shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
-        if !shards.is_power_of_two() {
-            return Err(ConfigError::ShardsNotPowerOfTwo { requested: shards });
-        }
         self.shards = shards;
-        Ok(self)
+        self.validate().map(|()| self)
     }
 
     /// Set how many jobs an idle worker steals per scan. Rejects 0.
     pub fn with_steal_batch(mut self, batch: usize) -> Result<ServeConfig, ConfigError> {
-        if batch == 0 {
-            return Err(ConfigError::ZeroStealBatch);
-        }
         self.steal_batch = batch;
-        Ok(self)
+        self.validate().map(|()| self)
     }
 
-    /// Check every invariant the `with_*` builders enforce — the backstop
-    /// for callers that set the public fields directly.
+    /// Check every capacity-like knob. The fallible `with_*` builders call
+    /// this after setting their field; [`IngestServer::try_start`] calls it
+    /// again for callers that set the public fields directly.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.workers == 0 {
             return Err(ConfigError::ZeroWorkers);
@@ -449,7 +379,7 @@ impl ServeConfig {
     }
 
     /// Enable write-ahead logging under `policy`: every completed ingest is
-    /// appended (and, in [`WalSync::Always`] mode, fsynced) before the ack.
+    /// appended (and, in [`xywal::WalSync::Always`] mode, fsynced) before the ack.
     #[must_use]
     pub fn with_wal(mut self, policy: WalPolicy) -> ServeConfig {
         self.wal = Some(policy);
@@ -536,7 +466,7 @@ pub struct Completed {
     /// (non-zero only on the first load of a key or on a DOCTYPE change).
     pub schema_warnings: usize,
     /// True when the version was written to the write-ahead log (and, in
-    /// [`WalSync::Always`] mode, fsynced) before this ack — i.e. it
+    /// [`xywal::WalSync::Always`] mode, fsynced) before this ack — i.e. it
     /// survives `kill -9`. False when no WAL is configured, when the sync
     /// mode leaves flushing to the OS, or when the append failed.
     pub durable: bool,
@@ -551,8 +481,8 @@ pub struct Ticket {
 
 impl Ticket {
     /// Block until the snapshot is processed. Every accepted snapshot is
-    /// guaranteed to resolve: workers deliver the outcome on success, on
-    /// dead-lettering, and on the shutdown-cancellation path.
+    /// guaranteed to resolve: workers deliver the outcome on success and on
+    /// dead-lettering.
     pub fn wait(self) -> IngestOutcome {
         self.rx.recv().unwrap_or_else(|_| {
             // Unreachable in practice (the sender is dropped only after a
@@ -650,7 +580,7 @@ impl ShutdownReport {
 }
 
 /// A completion callback: invoked exactly once with the submission's
-/// outcome, from whichever worker (or canceller) resolves it. This is the
+/// outcome, from whichever worker resolves it. This is the
 /// one delivery mechanism: a [`Ticket`] is a callback that sends into a
 /// channel, and the `xynet` reactor, whose event loop cannot block on a
 /// [`Ticket`], passes a callback that records the outcome and wakes the
@@ -673,23 +603,6 @@ struct Gate {
     next_apply: u64,
     /// Popped snapshots waiting for their predecessor, keyed by seq.
     parked: BTreeMap<u64, Job>,
-    /// Sequence numbers that will never run (submit lost the shutdown race).
-    cancelled: BTreeSet<u64>,
-}
-
-struct SnapshotState {
-    store: SnapshotStore,
-    policy: SnapshotPolicy,
-    stop: Mutex<bool>,
-    wake: Condvar,
-    last_error: Mutex<Option<String>>,
-}
-
-struct CompactorState {
-    /// Hop bound every chain is kept within.
-    every: usize,
-    stop: Mutex<bool>,
-    wake: Condvar,
 }
 
 struct Inner {
@@ -702,17 +615,21 @@ struct Inner {
     max_retries: u32,
     mode: MatchMode,
     fault_hook: Option<FaultHook>,
-    snapshot: Option<SnapshotState>,
     wal: Option<Wal>,
-    compactor: Option<CompactorState>,
+    /// Where the maintenance thread persists shards, and how often.
+    snapshots: Option<(SnapshotStore, Duration)>,
+    /// Hop bound the maintenance thread keeps every chain within (0 = off).
+    compact_chain_max: usize,
+    /// Tells the maintenance thread to exit; paired with `wake`.
+    stop: Mutex<bool>,
+    wake: Condvar,
 }
 
 /// The concurrent ingestion server. See the module docs for the design.
 pub struct IngestServer {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    snapshotter: Option<JoinHandle<()>>,
-    compactor: Option<JoinHandle<()>>,
+    maintenance: Option<JoinHandle<()>>,
 }
 
 impl IngestServer {
@@ -738,33 +655,20 @@ impl IngestServer {
                 Repository::with_options(config.diff_options.clone(), config.alerter.clone())
             })
             .collect();
-        let snapshot = match &config.snapshots {
+        let snapshots = match &config.snapshots {
             Some(policy) => {
-                let store = SnapshotStore::open(&policy.dir)
-                    .map_err(StartError::Snapshot)?
-                    .with_keep(policy.keep);
+                let store = SnapshotStore::open(&policy.dir).map_err(StartError::Snapshot)?;
                 store
                     .restore_into(&shards, |key| shard_index(key, shard_count))
                     .map_err(StartError::Snapshot)?;
-                Some(SnapshotState {
-                    store,
-                    policy: policy.clone(),
-                    stop: Mutex::new(false),
-                    wake: Condvar::new(),
-                    last_error: Mutex::new(None),
-                })
+                Some((store, policy.interval))
             }
             None => None,
         };
         let metrics = Metrics::with_deques(config.workers);
         let wal = match &config.wal {
             Some(policy) => {
-                let (wal, recovery) = Wal::open(
-                    &WalConfig::new(&policy.dir)
-                        .with_sync(policy.sync)
-                        .with_segment_bytes(policy.segment_bytes),
-                )
-                .map_err(StartError::Wal)?;
+                let (wal, recovery) = Wal::open(policy).map_err(StartError::Wal)?;
                 // Fold the log suffix (everything past the consumed
                 // watermark) on top of the restored snapshot. Records the
                 // snapshot already covers replay as harmless skips.
@@ -787,11 +691,6 @@ impl IngestServer {
                 None => s,
             }
         };
-        let compactor_state = (config.compact_chain_max > 0).then(|| CompactorState {
-            every: config.compact_chain_max,
-            stop: Mutex::new(false),
-            wake: Condvar::new(),
-        });
         let inner = Arc::new(Inner {
             shards,
             sched,
@@ -802,9 +701,11 @@ impl IngestServer {
             max_retries: config.max_retries,
             mode: config.diff_options.mode,
             fault_hook: config.fault_hook.clone(),
-            snapshot,
             wal,
-            compactor: compactor_state,
+            snapshots,
+            compact_chain_max: config.compact_chain_max,
+            stop: Mutex::new(false),
+            wake: Condvar::new(),
         });
         if let Some(wal) = &inner.wal {
             inner.sync_wal_metrics(wal);
@@ -820,64 +721,73 @@ impl IngestServer {
                     .expect("spawn worker thread")
             })
             .collect();
-        let snapshotter = inner.snapshot.is_some().then(|| {
+        let maintenance = (inner.snapshots.is_some() || inner.compact_chain_max > 0).then(|| {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
-                .name("xyserve-snapshot".to_string())
-                .spawn(move || inner.snapshot_loop())
+                .name("xyserve-maintenance".to_string())
+                .spawn(move || inner.maintenance_loop())
                 // INVARIANT: thread spawn fails only on OS resource exhaustion at
-                // startup; persistence cannot run without its thread.
-                .expect("spawn snapshot thread")
+                // startup; snapshots and compaction cannot run without it.
+                .expect("spawn maintenance thread")
         });
-        let compactor = inner.compactor.is_some().then(|| {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("xyserve-compactor".to_string())
-                .spawn(move || inner.compactor_loop())
-                // INVARIANT: thread spawn fails only on OS resource exhaustion at
-                // startup; compaction cannot run without its thread.
-                .expect("spawn compactor thread")
-        });
-        Ok(IngestServer { inner, workers, snapshotter, compactor })
+        Ok(IngestServer { inner, workers, maintenance })
     }
 
-    /// Blocking reservation: assign the key's next sequence number, then
-    /// push, waiting while the scheduler is at capacity.
+    /// The one admission path: under the gate lock, give `job` its key's
+    /// next sequence number and push it without blocking.
     ///
-    /// This is deliberately a separate path from the gate-locked
-    /// reservation in [`IngestServer::try_submit_with`]. A push that blocks
-    /// must not hold the gate lock: workers take that same lock in
-    /// `admit`/`advance` between pops, so a submitter waiting for space
-    /// while holding it would stall every worker, and the space would never
-    /// come. The number is therefore burned before the push, and a push
-    /// refused by shutdown cancels it.
+    /// Holding the gate lock across the push means a number is used up only
+    /// by a job that reached the scheduler (or met a closed one), so no
+    /// successor can ever park behind a number that will not run. The push
+    /// never waits, and no path takes the gate lock while holding the
+    /// scheduler's, so workers (which take the gate lock between pops) are
+    /// never stalled. On `Full` the job comes back with nothing used up; on
+    /// `Closed` its number is used up and the caller must dead-letter it.
+    fn enqueue(&self, mut job: Job) -> Result<(), TryPushError<Job>> {
+        // INVARIANT: a poisoned lock means a worker panicked mid-update;
+        // the server cannot vouch for its state, so the panic propagates.
+        let mut gates = self.inner.gates.lock().unwrap();
+        let g = gates.entry(job.key.clone()).or_default();
+        job.seq = g.next_submit;
+        match self.inner.sched.try_push(key_hash(&job.key), job) {
+            Err(TryPushError::Full(job)) => Err(TryPushError::Full(job)),
+            pushed => {
+                // Queued, or refused by a closed scheduler: either way the
+                // number is used up and the job counts as submitted.
+                g.next_submit += 1;
+                drop(gates);
+                self.inner.metrics.enqueued.inc();
+                self.inner.sync_sched_metrics();
+                pushed
+            }
+        }
+    }
+
+    /// Dead-letter a job whose submit met a closed scheduler. The callback
+    /// is dropped unrun: the returned error already answers the caller, and
+    /// a dead-letter delivery on top of it would answer it twice.
+    fn refuse(&self, job: Job) -> SubmitError {
+        self.inner.dead_letter(&job.key, job.seq, 0, "submitted during shutdown".to_string(), None);
+        SubmitError::ShuttingDown
+    }
+
+    /// Blocking submit: retry [`IngestServer::enqueue`], waiting for space
+    /// with no lock held while the scheduler is at capacity.
     fn submit_with(
         &self,
         key: &str,
         xml: String,
         done: Option<CompletionFn>,
     ) -> Result<(), SubmitError> {
-        let seq = {
-            // INVARIANT: a poisoned lock means a worker panicked mid-update;
-            // the server cannot vouch for its state, so the panic propagates.
-            let mut gates = self.inner.gates.lock().unwrap();
-            let g = gates.entry(key.to_string()).or_default();
-            let seq = g.next_submit;
-            g.next_submit += 1;
-            seq
-        };
-        self.inner.metrics.enqueued.inc();
-        let job = Job { key: key.to_string(), xml, seq, done };
-        match self.inner.sched.push(key_hash(key), job) {
-            Ok(()) => {
-                self.inner.sync_sched_metrics();
-                Ok(())
-            }
-            Err(Closed(job)) => {
-                // The sequence number is already burned; account for it so
-                // successors parked behind it are not stranded.
-                self.inner.cancel(job);
-                Err(SubmitError::ShuttingDown)
+        let mut job = Job { key: key.to_string(), xml, seq: 0, done };
+        loop {
+            match self.enqueue(job) {
+                Ok(()) => return Ok(()),
+                Err(TryPushError::Full(j)) => {
+                    job = j;
+                    self.inner.sched.wait_for_space();
+                }
+                Err(TryPushError::Closed(j)) => return Err(self.refuse(j)),
             }
         }
     }
@@ -921,37 +831,11 @@ impl IngestServer {
         xml: impl Into<String>,
         done: CompletionFn,
     ) -> Result<(), SubmitError> {
-        // Hold the gate lock across reservation *and* the non-blocking push:
-        // on Full the unused sequence number is released without racing a
-        // concurrent submitter for the same key. Safe because the push never
-        // waits, and no path takes the gate lock while holding the
-        // scheduler's.
-        // INVARIANT: a poisoned lock means a worker panicked mid-update;
-        // the server cannot vouch for its state, so the panic propagates.
-        let mut gates = self.inner.gates.lock().unwrap();
-        let g = gates.entry(key.to_string()).or_default();
-        let seq = g.next_submit;
-        let job = Job { key: key.to_string(), xml: xml.into(), seq, done: Some(done) };
-        match self.inner.sched.try_push(key_hash(key), job) {
-            Ok(()) => {
-                g.next_submit += 1;
-                drop(gates);
-                self.inner.metrics.enqueued.inc();
-                self.inner.sync_sched_metrics();
-                Ok(())
-            }
+        let job = Job { key: key.to_string(), xml: xml.into(), seq: 0, done: Some(done) };
+        match self.enqueue(job) {
+            Ok(()) => Ok(()),
             Err(TryPushError::Full(_)) => Err(SubmitError::QueueFull),
-            Err(TryPushError::Closed(mut job)) => {
-                g.next_submit += 1;
-                drop(gates);
-                self.inner.metrics.enqueued.inc();
-                // Strip the callback before cancelling: the Err return
-                // already owns the shutting-down response, and a dead-letter
-                // delivery on top of it would answer the request twice.
-                job.done = None;
-                self.inner.cancel(job);
-                Err(SubmitError::ShuttingDown)
-            }
+            Err(TryPushError::Closed(job)) => Err(self.refuse(job)),
         }
     }
 
@@ -1017,38 +901,18 @@ impl IngestServer {
         self.inner.wal.as_ref()
     }
 
-    /// The error of the most recent failed snapshot attempt, if the most
-    /// recent attempt failed (cleared by the next success).
-    pub fn last_snapshot_error(&self) -> Option<String> {
-        let st = self.inner.snapshot.as_ref()?;
-        // INVARIANT: a poisoned lock means a worker panicked mid-update;
-        // the server cannot vouch for its state, so the panic propagates.
-        st.last_error.lock().unwrap().clone()
-    }
-
     /// Stop accepting work, drain the queue and all in-flight chains, join
     /// every worker, and return the loss-free accounting. With persistence
     /// configured, a final snapshot is written after the drain so a restart
     /// resumes exactly the drained state.
     pub fn shutdown(mut self) -> ShutdownReport {
-        self.inner.sched.close();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        self.stop_snapshotter();
-        self.stop_compactor();
-        if let Some(wal) = &self.inner.wal {
-            // In WalSync::None mode appended records may still be in the OS
-            // cache; a clean shutdown flushes them.
-            let _ = wal.sync();
-            self.inner.sync_wal_metrics(wal);
-        }
-        if let Some(st) = &self.inner.snapshot {
+        self.stop();
+        if let Some((store, _)) = &self.inner.snapshots {
             // The drain is complete, so this snapshot captures every stored
             // version — the restart-resumes-the-chains guarantee. With a
             // WAL configured it also advances the consumed watermark to the
             // drained frontier, making old segments deletable.
-            self.inner.take_snapshot(st);
+            self.inner.take_snapshot(store);
         }
         let m = &self.inner.metrics;
         ShutdownReport {
@@ -1067,43 +931,35 @@ impl IngestServer {
         }
     }
 
-    fn stop_snapshotter(&mut self) {
-        if let Some(h) = self.snapshotter.take() {
-            if let Some(st) = &self.inner.snapshot {
-                // INVARIANT: a poisoned lock means the snapshot thread
-                // panicked mid-update; the panic propagates.
-                *st.stop.lock().unwrap() = true;
-                st.wake.notify_all();
-            }
+    /// Close the scheduler, drain and join the workers, stop the
+    /// maintenance thread and flush the WAL. Shared by `shutdown` and
+    /// `Drop`; a second call only re-flushes the WAL.
+    fn stop(&mut self) {
+        self.inner.sched.close();
+        for h in self.workers.drain(..) {
             let _ = h.join();
         }
-    }
-
-    fn stop_compactor(&mut self) {
-        if let Some(h) = self.compactor.take() {
-            if let Some(st) = &self.inner.compactor {
-                // INVARIANT: a poisoned lock means the compactor thread
-                // panicked mid-update; the panic propagates.
-                *st.stop.lock().unwrap() = true;
-                st.wake.notify_all();
-            }
+        if let Some(h) = self.maintenance.take() {
+            // INVARIANT: a poisoned lock means the maintenance thread
+            // panicked mid-update; the panic propagates.
+            *self.inner.stop.lock().unwrap() = true;
+            self.inner.wake.notify_all();
             let _ = h.join();
+        }
+        if let Some(wal) = &self.inner.wal {
+            // In WalSync::None mode appended records may still be in the OS
+            // cache; a clean stop flushes them.
+            let _ = wal.sync();
+            self.inner.sync_wal_metrics(wal);
         }
     }
 }
 
 impl Drop for IngestServer {
     fn drop(&mut self) {
-        // `shutdown` drains `workers`; a bare drop still terminates cleanly.
-        self.inner.sched.close();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        self.stop_snapshotter();
-        self.stop_compactor();
-        if let Some(wal) = &self.inner.wal {
-            let _ = wal.sync();
-        }
+        // `shutdown` already stopped everything; a bare drop still
+        // terminates cleanly.
+        self.stop();
     }
 }
 
@@ -1179,61 +1035,18 @@ impl Inner {
         }
     }
 
-    /// Mark `seq` done, skip any cancelled successors, and hand back the
-    /// next parked snapshot if it is now runnable.
+    /// Mark `seq` done and hand back the next parked snapshot if it is now
+    /// runnable.
     fn advance(&self, key: &str, seq: u64) -> Option<Job> {
         // INVARIANT: a poisoned lock means a worker panicked mid-update;
         // the server cannot vouch for its state, so the panic propagates.
         let mut gates = self.gates.lock().unwrap();
-        // INVARIANT: submit() creates the gate before any job for the key
+        // INVARIANT: enqueue() creates the gate before any job for the key
         // reaches a worker, and gates are never removed while jobs exist.
         let g = gates.get_mut(key).expect("gate exists for processed key");
         debug_assert_eq!(g.next_apply, seq, "only the gated seq can finish");
         g.next_apply = seq + 1;
-        loop {
-            if g.cancelled.remove(&g.next_apply) {
-                g.next_apply += 1;
-                continue;
-            }
-            return g.parked.remove(&g.next_apply);
-        }
-    }
-
-    /// A submit lost the race against shutdown after its sequence number
-    /// was assigned: dead-letter it and unblock any parked successors (the
-    /// canceller processes them inline, acting as a worker).
-    fn cancel(&self, job: Job) {
-        let Job { key, seq, done, .. } = job;
-        self.dead_letter(&key, seq, 0, "submitted during shutdown".to_string(), done);
-        let mut runnable = {
-            // INVARIANT: a poisoned lock means a worker panicked mid-update;
-            // the server cannot vouch for its state, so the panic propagates.
-            let mut gates = self.gates.lock().unwrap();
-            // INVARIANT: submit() creates the gate before any job for the key
-            // reaches a worker, and gates are never removed while jobs exist.
-            let g = gates.get_mut(&key).expect("gate exists for submitted key");
-            if seq == g.next_apply {
-                g.next_apply += 1;
-                loop {
-                    if g.cancelled.remove(&g.next_apply) {
-                        g.next_apply += 1;
-                        continue;
-                    }
-                    break g.parked.remove(&g.next_apply);
-                }
-            } else {
-                g.cancelled.insert(seq);
-                None
-            }
-        };
-        // Rare path (shutdown race), so a cold differ is fine.
-        let mut differ = self.shards[0].differ();
-        while let Some(j) = runnable {
-            let key = j.key.clone();
-            let seq = j.seq;
-            self.process(j, &mut differ);
-            runnable = self.advance(&key, seq);
-        }
+        g.parked.remove(&g.next_apply)
     }
 
     fn dead_letter(
@@ -1380,50 +1193,61 @@ impl Inner {
         }
     }
 
-    /// The background persistence loop: wake on the interval (or every
-    /// 50 ms while an op-count trigger is armed), snapshot when either
-    /// trigger is due, exit when the server signals stop. The final
-    /// post-drain snapshot is taken by `shutdown`, not here.
-    fn snapshot_loop(&self) {
-        // INVARIANT: snapshot_loop only runs when a SnapshotState was built.
-        let st = self.snapshot.as_ref().expect("snapshot state exists");
-        // Baseline 0, not the counter at thread start: work processed
-        // before this thread is first scheduled must count toward the
-        // op-count trigger.
-        let mut last_ops = 0;
-        let mut last_time = Instant::now();
+    /// The background maintenance loop: snapshot every shard when the
+    /// snapshot interval is due, sweep the chains every 250 ms when a
+    /// compaction bound is set, and exit when the server signals stop. The
+    /// final post-drain snapshot is taken by `shutdown`, not here.
+    fn maintenance_loop(&self) {
+        const COMPACT_EVERY: Duration = Duration::from_millis(250);
+        let now = Instant::now();
+        let mut next_snapshot = self.snapshots.as_ref().map(|(_, every)| now + *every);
+        let mut next_compact = (self.compact_chain_max > 0).then(|| now + COMPACT_EVERY);
         loop {
             {
                 // INVARIANT: a poisoned lock means a holder panicked
                 // mid-update; the panic propagates.
-                let mut stop = st.stop.lock().unwrap();
+                let mut stop = self.stop.lock().unwrap();
                 loop {
                     if *stop {
                         return;
                     }
-                    let elapsed = last_time.elapsed();
-                    let ops = self.metrics.succeeded.get().saturating_sub(last_ops);
-                    if elapsed >= st.policy.interval
-                        || (st.policy.every_ops > 0 && ops >= st.policy.every_ops)
-                    {
+                    // The thread is spawned only when at least one of the
+                    // two tasks is configured.
+                    let Some(due) = next_snapshot.into_iter().chain(next_compact).min() else {
+                        return;
+                    };
+                    let now = Instant::now();
+                    if due <= now {
                         break;
-                    }
-                    let mut wait = st.policy.interval - elapsed;
-                    if st.policy.every_ops > 0 {
-                        wait = wait.min(Duration::from_millis(50));
                     }
                     // INVARIANT: a poisoned lock means a holder panicked
                     // mid-update; the panic propagates.
-                    stop = st.wake.wait_timeout(stop, wait).unwrap().0;
+                    stop = self.wake.wait_timeout(stop, due - now).unwrap().0;
                 }
             }
-            last_ops = self.metrics.succeeded.get();
-            self.take_snapshot(st);
-            last_time = Instant::now();
+            if let (Some((store, every)), Some(due)) = (&self.snapshots, next_snapshot) {
+                if due <= Instant::now() {
+                    self.take_snapshot(store);
+                    next_snapshot = Some(Instant::now() + *every);
+                }
+            }
+            if let Some(due) = next_compact {
+                if due <= Instant::now() {
+                    let compacted: usize = self
+                        .shards
+                        .iter()
+                        .map(|shard| shard.compact_chains(self.compact_chain_max))
+                        .sum();
+                    if compacted > 0 {
+                        self.metrics.compactions.add(compacted as u64);
+                    }
+                    next_compact = Some(Instant::now() + COMPACT_EVERY);
+                }
+            }
         }
     }
 
-    fn take_snapshot(&self, st: &SnapshotState) {
+    fn take_snapshot(&self, store: &SnapshotStore) {
         let t = Instant::now();
         // Read the WAL frontier BEFORE cloning the shards: every record
         // with lsn <= this value had its chain push happen-before its
@@ -1431,13 +1255,10 @@ impl Inner {
         // happened-before this read — so the snapshot covers all of them
         // and the watermark may advance to here once it is durable.
         let wal_lsn = self.wal.as_ref().map(Wal::appended_lsn);
-        match st.store.save(&self.shards) {
+        match store.save(&self.shards) {
             Ok(_generation) => {
                 self.metrics.snapshots.inc();
                 self.metrics.snapshot_time.observe(t.elapsed());
-                // INVARIANT: a poisoned lock means a holder panicked
-                // mid-update; the panic propagates.
-                *st.last_error.lock().unwrap() = None;
                 if let (Some(wal), Some(lsn)) = (&self.wal, wal_lsn) {
                     // Consumed segments become deletable; failure here only
                     // delays truncation (retried on the next snapshot).
@@ -1445,12 +1266,7 @@ impl Inner {
                     self.sync_wal_metrics(wal);
                 }
             }
-            Err(e) => {
-                self.metrics.snapshot_errors.inc();
-                // INVARIANT: a poisoned lock means a holder panicked
-                // mid-update; the panic propagates.
-                *st.last_error.lock().unwrap() = Some(e.to_string());
-            }
+            Err(_) => self.metrics.snapshot_errors.inc(),
         }
     }
 
@@ -1463,38 +1279,6 @@ impl Inner {
         self.metrics.wal_fsynced_records.observe_total(s.fsynced_records);
         self.metrics.wal_segments.set(s.segments as u64);
         self.metrics.wal_fsync_batch_max.set(s.max_fsync_batch);
-    }
-
-    /// The background compactor: sweep every shard on a short cadence and
-    /// fold any chain whose worst-case reconstruction exceeds the
-    /// configured hop bound through checkpoints.
-    fn compactor_loop(&self) {
-        // INVARIANT: compactor_loop only runs when a CompactorState was built.
-        let st = self.compactor.as_ref().expect("compactor state exists");
-        loop {
-            {
-                // INVARIANT: a poisoned lock means a holder panicked
-                // mid-update; the panic propagates.
-                let stop = st.stop.lock().unwrap();
-                if *stop {
-                    return;
-                }
-                // INVARIANT: a poisoned lock means a holder panicked
-                // mid-update; the panic propagates.
-                let wait = st.wake.wait_timeout(stop, Duration::from_millis(250)).unwrap();
-                let (stop, _) = wait;
-                if *stop {
-                    return;
-                }
-            }
-            let mut compacted = 0;
-            for shard in &self.shards {
-                compacted += shard.compact_chains(st.every);
-            }
-            if compacted > 0 {
-                self.metrics.compactions.add(compacted as u64);
-            }
-        }
     }
 }
 
@@ -1773,16 +1557,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Poll `done` every 10 ms for up to 10 s; true once it holds.
+    fn eventually(mut done: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        true
+    }
+
     #[test]
-    fn op_count_trigger_snapshots_while_running() {
+    fn interval_trigger_snapshots_while_running() {
         let dir = std::env::temp_dir()
-            .join(format!("xyserve-snap-ops-{}", std::process::id()));
+            .join(format!("xyserve-snap-interval-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let server = IngestServer::try_start(
             ServeConfig::new().with_workers(2).unwrap().with_snapshots(
-                SnapshotPolicy::new(&dir)
-                    .with_interval(Duration::from_secs(3600))
-                    .with_every_ops(2),
+                SnapshotPolicy::new(&dir).with_interval(Duration::from_millis(20)),
             ),
         )
         .unwrap();
@@ -1790,23 +1584,92 @@ mod tests {
             server.submit("doc", format!("<d><v>{v}</v></d>")).unwrap();
         }
         server.wait_idle();
-        // The op trigger fires within its 50 ms polling cadence.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.metrics().snapshots.get() == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
         assert!(
-            server.metrics().snapshots.get() >= 1,
-            "op-count trigger fired (errors={} last={:?} succeeded={})",
+            eventually(|| server.metrics().snapshots.get() >= 1),
+            "interval trigger fired (errors={} succeeded={})",
             server.metrics().snapshot_errors.get(),
-            server.last_snapshot_error(),
             server.metrics().succeeded.get()
         );
-        assert_eq!(server.last_snapshot_error(), None);
+        assert_eq!(server.metrics().snapshot_errors.get(), 0);
         let report = server.shutdown();
         assert!(report.is_balanced(), "{report:?}");
         assert!(report.metrics_text.contains("ingest_snapshots_total"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_maintenance_thread_snapshots_and_compacts() {
+        let dir = std::env::temp_dir()
+            .join(format!("xyserve-snap-compact-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = IngestServer::try_start(
+            ServeConfig::new()
+                .with_workers(2)
+                .unwrap()
+                .with_snapshots(SnapshotPolicy::new(&dir).with_interval(Duration::from_millis(20)))
+                .with_compact_chain_max(8),
+        )
+        .unwrap();
+        for v in 0..40 {
+            server.submit("doc", format!("<d><v>{v}</v></d>")).unwrap();
+        }
+        server.wait_idle();
+        let repo = server.repository_for("doc");
+        assert!(
+            eventually(|| server.metrics().snapshots.get() >= 1
+                && repo.chain_hops("doc").unwrap() <= 8),
+            "snapshots={} hops={:?}",
+            server.metrics().snapshots.get(),
+            repo.chain_hops("doc"),
+        );
+        for v in [0, 13, 39] {
+            assert_eq!(repo.version_xml("doc", v).unwrap(), format!("<d><v>{v}</v></d>"));
+        }
+        let report = server.shutdown();
+        assert!(report.is_balanced(), "{report:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn blocked_submit_wakes_on_drain_as_one_dead_letter() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Hold the single worker before its first pop, so the one-slot
+        // queue stays full until the test lets go.
+        let release = Arc::new(AtomicBool::new(false));
+        let gate = Arc::clone(&release);
+        let hook: SchedHook = Arc::new(move |e| {
+            if let crate::scheduler::SchedEvent::PopOwn { .. } = e {
+                while !gate.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        });
+        let server = Arc::new(IngestServer::start(
+            ServeConfig::new()
+                .with_workers(1)
+                .unwrap()
+                .with_queue_capacity(1)
+                .unwrap()
+                .with_sched_hook(hook),
+        ));
+        server.submit("doc", "<d><v>0</v></d>").unwrap();
+        let blocked = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.submit("doc", "<d><v>1</v></d>"))
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!blocked.is_finished(), "a submit to a full queue waits for space");
+        server.begin_drain();
+        assert!(matches!(blocked.join().unwrap(), Err(SubmitError::ShuttingDown)));
+        release.store(true, Ordering::SeqCst);
+        let Ok(server) = Arc::try_unwrap(server) else {
+            panic!("the submitting thread has released its handle");
+        };
+        let report = server.shutdown();
+        assert!(report.is_balanced(), "{report:?}");
+        assert_eq!((report.succeeded, report.dead_lettered), (1, 1), "{report:?}");
+        assert_eq!(report.dead_letters[0].seq, 1);
+        assert_eq!(report.dead_letters[0].error, "submitted during shutdown");
     }
 
     #[test]
