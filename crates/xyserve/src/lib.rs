@@ -41,15 +41,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod config;
+mod durability;
 pub mod metrics;
 pub mod scheduler;
 pub mod server;
 
+pub use config::{ConfigError, EffectiveConfig, FaultHook, ServeConfig, SnapshotPolicy, WalPolicy};
 pub use metrics::{Counter, Gauge, Histogram, Metrics};
 pub use scheduler::{Closed, SchedEvent, SchedHook, Scheduler, Steal, TryPushError};
 pub use server::{
-    home_worker, Completed, CompletionFn, ConfigError, DeadLetter, EffectiveConfig, FaultHook,
-    IngestOutcome, IngestServer, ServeConfig, ShutdownReport, SnapshotPolicy, StartError,
-    SubmitError, Ticket, WalPolicy,
+    home_worker, Completed, CompletionFn, DeadLetter, IngestOutcome, IngestServer,
+    ShutdownReport, StartError, SubmitError, Ticket,
 };
 pub use xywal::WalSync;
