@@ -54,17 +54,15 @@ impl PipelineFlags {
 
     /// The configured pipeline, with its write-ahead log attached.
     pub(crate) fn finish(self) -> Result<ServeConfig, String> {
-        let Some(dir) = self.wal_dir else {
-            if self.wal_sync.is_some() {
-                return Err("--wal-sync needs --wal-dir".to_string());
+        match (self.wal_dir, self.wal_sync) {
+            (None, Some(_)) => Err("--wal-sync needs --wal-dir".to_string()),
+            (None, None) => Ok(self.config),
+            (Some(dir), sync) => {
+                let mut policy = WalPolicy::new(dir);
+                policy.sync = sync.unwrap_or(policy.sync);
+                Ok(self.config.with_wal(policy))
             }
-            return Ok(self.config);
-        };
-        let mut policy = WalPolicy::new(dir);
-        if let Some(sync) = self.wal_sync {
-            policy = policy.with_sync(sync);
         }
-        Ok(self.config.with_wal(policy))
     }
 }
 

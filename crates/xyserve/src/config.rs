@@ -285,15 +285,7 @@ impl ServeConfig {
         }
     }
 
-    /// Set the diff options used by every shard.
-    #[must_use]
-    pub fn with_diff_options(mut self, opts: DiffOptions) -> ServeConfig {
-        self.diff_options = opts;
-        self
-    }
-
-    /// Select the diff matcher mode every shard runs (shorthand for setting
-    /// [`DiffOptions::mode`] through [`ServeConfig::with_diff_options`]).
+    /// Select the diff matcher mode every shard runs ([`DiffOptions::mode`]).
     #[must_use]
     pub fn with_mode(mut self, mode: MatchMode) -> ServeConfig {
         self.diff_options.mode = mode;

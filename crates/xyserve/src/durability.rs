@@ -62,50 +62,36 @@ impl Inner {
     /// final post-drain snapshot is taken by `shutdown`, not here.
     pub(crate) fn maintenance_loop(&self) {
         const COMPACT_EVERY: Duration = Duration::from_millis(250);
-        let now = Instant::now();
-        let mut next_snapshot = self.snapshots.as_ref().map(|(_, every)| now + *every);
-        let mut next_compact = (self.compact_chain_max > 0).then(|| now + COMPACT_EVERY);
-        loop {
-            {
+        let start = Instant::now();
+        let mut next_snapshot = self.snapshots.as_ref().map(|(_, every)| start + *every);
+        let mut next_compact = (self.compact_chain_max > 0).then(|| start + COMPACT_EVERY);
+        // The thread is spawned only when at least one of the two tasks is
+        // configured, so there is always a next deadline.
+        while let Some(due) = next_snapshot.into_iter().chain(next_compact).min() {
+            // INVARIANT: a poisoned lock means a holder panicked mid-update;
+            // the panic propagates.
+            let mut stop = self.stop.lock().unwrap();
+            while !*stop && Instant::now() < due {
+                let wait = due.saturating_duration_since(Instant::now());
                 // INVARIANT: a poisoned lock means a holder panicked
                 // mid-update; the panic propagates.
-                let mut stop = self.stop.lock().unwrap();
-                loop {
-                    if *stop {
-                        return;
-                    }
-                    // The thread is spawned only when at least one of the
-                    // two tasks is configured.
-                    let Some(due) = next_snapshot.into_iter().chain(next_compact).min() else {
-                        return;
-                    };
-                    let now = Instant::now();
-                    if due <= now {
-                        break;
-                    }
-                    // INVARIANT: a poisoned lock means a holder panicked
-                    // mid-update; the panic propagates.
-                    stop = self.wake.wait_timeout(stop, due - now).unwrap().0;
-                }
+                stop = self.wake.wait_timeout(stop, wait).unwrap().0;
             }
-            if let (Some((store, every)), Some(due)) = (&self.snapshots, next_snapshot) {
-                if due <= Instant::now() {
+            if *stop {
+                return;
+            }
+            drop(stop);
+            if let Some((store, every)) = &self.snapshots {
+                if next_snapshot.is_some_and(|t| t <= Instant::now()) {
                     self.take_snapshot(store);
                     next_snapshot = Some(Instant::now() + *every);
                 }
             }
-            if let Some(due) = next_compact {
-                if due <= Instant::now() {
-                    let compacted: usize = self
-                        .shards
-                        .iter()
-                        .map(|shard| shard.compact_chains(self.compact_chain_max))
-                        .sum();
-                    if compacted > 0 {
-                        self.metrics.compactions.add(compacted as u64);
-                    }
-                    next_compact = Some(Instant::now() + COMPACT_EVERY);
-                }
+            if next_compact.is_some_and(|t| t <= Instant::now()) {
+                let max = self.compact_chain_max;
+                let compacted: usize = self.shards.iter().map(|s| s.compact_chains(max)).sum();
+                self.metrics.compactions.add(compacted as u64);
+                next_compact = Some(Instant::now() + COMPACT_EVERY);
             }
         }
     }

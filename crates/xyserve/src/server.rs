@@ -23,18 +23,14 @@
 //! in exactly one of {succeeded, dead-lettered}, which
 //! [`ShutdownReport::is_balanced`] checks after a draining shutdown.
 //!
-//! The submit family differs only in what happens on a full queue and how
-//! the outcome is delivered. [`IngestServer::submit`] and
-//! [`IngestServer::submit_tracked`] wait for space with no lock held and
-//! retry (backpressure toward the crawler); the [`Ticket`] from
-//! `submit_tracked` resolves to the stored version number and delta size,
-//! or to the dead letter. The HTTP front uses
-//! [`IngestServer::try_submit_with`], which never blocks — a full queue
-//! comes back as [`SubmitError::QueueFull`], which the network layer turns
-//! into `503 Retry-After` — and delivers the outcome through a completion
-//! callback. A submit that meets a closed (draining) scheduler uses up its
-//! number and is dead-lettered; nothing can park behind that number,
-//! because a closed scheduler never reopens.
+//! [`IngestServer::submit`] and [`IngestServer::submit_tracked`] wait for
+//! space with no lock held and retry (backpressure toward the crawler); the
+//! [`Ticket`] resolves to the stored version and delta size, or to the dead
+//! letter. The HTTP front's [`IngestServer::try_submit_with`] never blocks:
+//! a full queue is [`SubmitError::QueueFull`] (`503 Retry-After`), and the
+//! outcome goes to a completion callback. A submit that meets a draining
+//! scheduler uses up its number and is dead-lettered; nothing can park
+//! behind that number, because a closed scheduler never reopens.
 //!
 //! Snapshots, the write-ahead log and chain compaction live in
 //! `durability`; the configuration types live in [`crate::config`].
@@ -116,11 +112,6 @@ impl Ticket {
                 error: "server dropped before delivering an outcome".to_string(),
             })
         })
-    }
-
-    /// [`Ticket::wait`] with a timeout; `None` when it expires.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<IngestOutcome> {
-        self.rx.recv_timeout(timeout).ok()
     }
 }
 
@@ -279,13 +270,10 @@ impl IngestServer {
         let metrics = Metrics::with_deques(config.workers);
         let snapshots = durability::restore(&config, &shards)?;
         let wal = durability::replay(&config, &shards, &metrics)?;
-        let sched = {
-            let s = Scheduler::new(config.workers, config.queue_capacity, config.steal_batch);
-            match config.sched_hook.clone() {
-                Some(hook) => s.with_hook(hook),
-                None => s,
-            }
-        };
+        let mut sched = Scheduler::new(config.workers, config.queue_capacity, config.steal_batch);
+        if let Some(hook) = config.sched_hook.clone() {
+            sched = sched.with_hook(hook);
+        }
         let inner = Arc::new(Inner {
             shards,
             sched,
@@ -329,15 +317,11 @@ impl IngestServer {
     }
 
     /// The one admission path: under the gate lock, give `job` its key's
-    /// next sequence number and push it without blocking.
-    ///
-    /// Holding the gate lock across the push means a number is used up only
-    /// by a job that reached the scheduler (or met a closed one), so no
-    /// successor can ever park behind a number that will not run. The push
-    /// never waits, and no path takes the gate lock while holding the
-    /// scheduler's, so workers (which take the gate lock between pops) are
-    /// never stalled. On `Full` the job comes back with nothing used up; on
-    /// `Closed` its number is used up and the caller must dead-letter it.
+    /// next sequence number and push it without blocking. A number is thus
+    /// used up only by a job that reached the scheduler or met a closed one
+    /// (the caller dead-letters it); on `Full` nothing is used up. The push
+    /// never waits, so workers, which take the gate lock between pops, are
+    /// never stalled behind a submitter.
     fn enqueue(&self, mut job: Job) -> Result<(), TryPushError<Job>> {
         // INVARIANT: a poisoned lock means a worker panicked mid-update;
         // the server cannot vouch for its state, so the panic propagates.
@@ -358,31 +342,32 @@ impl IngestServer {
         }
     }
 
-    /// Dead-letter a job whose submit met a closed scheduler. The callback
-    /// is dropped unrun: the returned error already answers the caller, and
-    /// a dead-letter delivery on top of it would answer it twice.
-    fn refuse(&self, job: Job) -> SubmitError {
-        self.inner.dead_letter(&job.key, job.seq, 0, "submitted during shutdown".to_string(), None);
-        SubmitError::ShuttingDown
-    }
-
-    /// Blocking submit: retry [`IngestServer::enqueue`], waiting for space
-    /// with no lock held while the scheduler is at capacity.
+    /// Retry [`IngestServer::enqueue`] until the job is queued. A full
+    /// scheduler is `QueueFull` unless `block`, in which case the submit
+    /// waits for space with no lock held. A closed scheduler dead-letters
+    /// the job without running its callback: the returned error already
+    /// answers the caller, and a dead-letter delivery would answer twice.
     fn submit_with(
         &self,
         key: &str,
         xml: String,
         done: Option<CompletionFn>,
+        block: bool,
     ) -> Result<(), SubmitError> {
         let mut job = Job { key: key.to_string(), xml, seq: 0, done };
         loop {
             match self.enqueue(job) {
                 Ok(()) => return Ok(()),
+                Err(TryPushError::Full(_)) if !block => return Err(SubmitError::QueueFull),
                 Err(TryPushError::Full(j)) => {
                     job = j;
                     self.inner.sched.wait_for_space();
                 }
-                Err(TryPushError::Closed(j)) => return Err(self.refuse(j)),
+                Err(TryPushError::Closed(j)) => {
+                    let error = "submitted during shutdown".to_string();
+                    self.inner.dead_letter(&j.key, j.seq, 0, error, None);
+                    return Err(SubmitError::ShuttingDown);
+                }
             }
         }
     }
@@ -391,7 +376,7 @@ impl IngestServer {
     /// full. Snapshots of the same key submitted from one thread are
     /// guaranteed to apply in submission order.
     pub fn submit(&self, key: &str, xml: impl Into<String>) -> Result<(), SubmitError> {
-        self.submit_with(key, xml.into(), None)
+        self.submit_with(key, xml.into(), None, true)
     }
 
     /// [`IngestServer::submit`] returning a [`Ticket`] that resolves to the
@@ -406,7 +391,7 @@ impl IngestServer {
         let done: CompletionFn = Box::new(move |outcome| {
             let _ = tx.send(outcome);
         });
-        self.submit_with(key, xml.into(), Some(done))?;
+        self.submit_with(key, xml.into(), Some(done), true)?;
         Ok(Ticket { rx })
     }
 
@@ -426,12 +411,7 @@ impl IngestServer {
         xml: impl Into<String>,
         done: CompletionFn,
     ) -> Result<(), SubmitError> {
-        let job = Job { key: key.to_string(), xml: xml.into(), seq: 0, done: Some(done) };
-        match self.enqueue(job) {
-            Ok(()) => Ok(()),
-            Err(TryPushError::Full(_)) => Err(SubmitError::QueueFull),
-            Err(TryPushError::Closed(job)) => Err(self.refuse(job)),
-        }
+        self.submit_with(key, xml.into(), Some(done), false)
     }
 
     /// The metrics registry (live counters; render at any time).
@@ -456,11 +436,6 @@ impl IngestServer {
     /// The shard repository holding `key` (for reads: versions, deltas).
     pub fn repository_for(&self, key: &str) -> &Repository {
         &self.inner.shards[self.inner.shard_of(key)]
-    }
-
-    /// All shard repositories (persistence, global stats).
-    pub fn shards(&self) -> &[Repository] {
-        &self.inner.shards
     }
 
     /// Total versions stored across all shards.
@@ -678,26 +653,15 @@ impl Inner {
         };
         self.metrics.parse_time.observe(t_parse.elapsed());
 
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            if let Some(hook) = &self.fault_hook {
-                if hook(&key, seq, attempt) {
-                    if attempt > self.max_retries {
-                        self.dead_letter(
-                            &key,
-                            seq,
-                            attempt,
-                            "transient failure, retries exhausted".to_string(),
-                            done,
-                        );
-                        return;
-                    }
-                    self.metrics.retries.inc();
-                    continue;
-                }
+        let mut attempt = 1;
+        while self.fault_hook.as_ref().is_some_and(|hook| hook(&key, seq, attempt)) {
+            if attempt > self.max_retries {
+                let error = "transient failure, retries exhausted".to_string();
+                self.dead_letter(&key, seq, attempt, error, done);
+                return;
             }
-            break;
+            self.metrics.retries.inc();
+            attempt += 1;
         }
 
         let shard = &self.shards[self.shard_of(&key)];
@@ -1079,45 +1043,19 @@ mod tests {
         true
     }
 
-    #[test]
-    fn interval_trigger_snapshots_while_running() {
+    /// Ingest 40 versions of one key with 20 ms snapshots and hop bound
+    /// `compact` (0 = off), then wait for the maintenance thread to snapshot
+    /// and, when compacting, to bring the chain within the bound.
+    fn maintenance_runs_in_the_background(compact: usize) {
         let dir = std::env::temp_dir()
-            .join(format!("xyserve-snap-interval-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let server = IngestServer::try_start(
-            ServeConfig::new().with_workers(2).unwrap().with_snapshots(
-                SnapshotPolicy::new(&dir).with_interval(Duration::from_millis(20)),
-            ),
-        )
-        .unwrap();
-        for v in 0..6 {
-            server.submit("doc", format!("<d><v>{v}</v></d>")).unwrap();
-        }
-        server.wait_idle();
-        assert!(
-            eventually(|| server.metrics().snapshots.get() >= 1),
-            "interval trigger fired (errors={} succeeded={})",
-            server.metrics().snapshot_errors.get(),
-            server.metrics().succeeded.get()
-        );
-        assert_eq!(server.metrics().snapshot_errors.get(), 0);
-        let report = server.shutdown();
-        assert!(report.is_balanced(), "{report:?}");
-        assert!(report.metrics_text.contains("ingest_snapshots_total"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn one_maintenance_thread_snapshots_and_compacts() {
-        let dir = std::env::temp_dir()
-            .join(format!("xyserve-snap-compact-{}", std::process::id()));
+            .join(format!("xyserve-maintenance-{compact}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let server = IngestServer::try_start(
             ServeConfig::new()
                 .with_workers(2)
                 .unwrap()
                 .with_snapshots(SnapshotPolicy::new(&dir).with_interval(Duration::from_millis(20)))
-                .with_compact_chain_max(8),
+                .with_compact_chain_max(compact),
         )
         .unwrap();
         for v in 0..40 {
@@ -1125,19 +1063,31 @@ mod tests {
         }
         server.wait_idle();
         let repo = server.repository_for("doc");
+        let within = || compact == 0 || repo.chain_hops("doc").unwrap() <= compact;
         assert!(
-            eventually(|| server.metrics().snapshots.get() >= 1
-                && repo.chain_hops("doc").unwrap() <= 8),
-            "snapshots={} hops={:?}",
+            eventually(|| server.metrics().snapshots.get() >= 1 && within()),
+            "snapshots={} errors={} hops={:?}",
             server.metrics().snapshots.get(),
+            server.metrics().snapshot_errors.get(),
             repo.chain_hops("doc"),
         );
+        assert_eq!(server.metrics().snapshot_errors.get(), 0);
         for v in [0, 13, 39] {
             assert_eq!(repo.version_xml("doc", v).unwrap(), format!("<d><v>{v}</v></d>"));
         }
         let report = server.shutdown();
         assert!(report.is_balanced(), "{report:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interval_trigger_snapshots_while_running() {
+        maintenance_runs_in_the_background(0);
+    }
+
+    #[test]
+    fn one_maintenance_thread_snapshots_and_compacts() {
+        maintenance_runs_in_the_background(8);
     }
 
     #[test]
@@ -1154,27 +1104,23 @@ mod tests {
                 }
             }
         });
-        let server = Arc::new(IngestServer::start(
+        let server = IngestServer::start(
             ServeConfig::new()
                 .with_workers(1)
                 .unwrap()
                 .with_queue_capacity(1)
                 .unwrap()
                 .with_sched_hook(hook),
-        ));
+        );
         server.submit("doc", "<d><v>0</v></d>").unwrap();
-        let blocked = {
-            let server = Arc::clone(&server);
-            std::thread::spawn(move || server.submit("doc", "<d><v>1</v></d>"))
-        };
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(!blocked.is_finished(), "a submit to a full queue waits for space");
-        server.begin_drain();
-        assert!(matches!(blocked.join().unwrap(), Err(SubmitError::ShuttingDown)));
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| server.submit("doc", "<d><v>1</v></d>"));
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!blocked.is_finished(), "a submit to a full queue waits for space");
+            server.begin_drain();
+            assert!(matches!(blocked.join().unwrap(), Err(SubmitError::ShuttingDown)));
+        });
         release.store(true, Ordering::SeqCst);
-        let Ok(server) = Arc::try_unwrap(server) else {
-            panic!("the submitting thread has released its handle");
-        };
         let report = server.shutdown();
         assert!(report.is_balanced(), "{report:?}");
         assert_eq!((report.succeeded, report.dead_lettered), (1, 1), "{report:?}");
@@ -1280,12 +1226,8 @@ mod tests {
         }
         server.wait_idle();
         let repo = server.repository_for("doc");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while repo.chain_hops("doc").unwrap() > 8 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
-        }
         assert!(
-            repo.chain_hops("doc").unwrap() <= 8,
+            eventually(|| repo.chain_hops("doc").unwrap() <= 8),
             "compactor must bound hops, got {:?} with {:?} checkpoints",
             repo.chain_hops("doc"),
             repo.chain_checkpoints("doc"),
